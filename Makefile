@@ -35,12 +35,17 @@ GOVULNCHECK_VERSION ?= v1.1.4
 govulncheck:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-# fuzz-smoke runs the three-way evaluator divergence fuzzer (tree walker
-# vs compiled model vs VM over synthesized programs) for a bounded slice;
-# CI runs it on every push, so the generators stay continuously fuzzed.
+# fuzz-smoke runs each native fuzz target for a bounded slice: the
+# three-way evaluator divergence fuzzer (tree walker vs compiled model vs
+# VM over synthesized programs), and the model codec and object file
+# decoders on arbitrary bytes (no panic, bounded allocation, stable
+# round trip). CI runs it on every push, so all of them stay
+# continuously fuzzed. go test fuzzes one target per invocation.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzThreeWayEvaluators -fuzztime $(FUZZTIME) ./internal/synth
+	$(GO) test -run xxx -fuzz '^FuzzDecodeFunc$$' -fuzztime $(FUZZTIME) ./internal/model
+	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/objfile
 
 build:
 	$(GO) build ./...
@@ -74,7 +79,7 @@ bench-baseline:
 # the committed previous one, host-normalized (the two may come from
 # different machines), failing on >15% relative slowdowns in benchmarks
 # above the 100µs noise floor.
-BENCH_COMPARE_OLD ?= BENCH_7.json
+BENCH_COMPARE_OLD ?= BENCH_8.json
 bench-compare:
 	$(GO) test -json -run xxx -benchtime 5x \
 		-bench '$(BENCH_SET)' \

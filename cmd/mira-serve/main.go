@@ -4,7 +4,8 @@
 // caching the engine has — singleflight compile dedup, memoized
 // (function, env) evaluation, and (with -cache-dir) a content-addressed
 // on-disk artifact store that survives restarts: a rebooted daemon
-// re-decodes stored object files instead of recompiling hot sources.
+// decodes each hot function's stored unit and model instead of
+// compiling and modeling it again.
 //
 // Endpoints:
 //

@@ -262,8 +262,8 @@ func TestMetricsOpenMetricsLint(t *testing.T) {
 
 // TestWarmRestartServesFromDiskCache is the acceptance scenario: a
 // second mira-serve process over the same cache directory must serve a
-// known program from the stored artifact — hit counters visible at
-// /metrics, zero compiles.
+// known program from the stored artifacts — hit counters visible at
+// /metrics, zero compiles, zero models generated.
 func TestWarmRestartServesFromDiskCache(t *testing.T) {
 	dir := t.TempDir()
 
@@ -303,11 +303,12 @@ func TestWarmRestartServesFromDiskCache(t *testing.T) {
 	if got := exp.Value("mira_store_hits_total"); got != 1 {
 		t.Errorf("warm process store hits = %v, want 1", got)
 	}
-	if got := exp.Value("mira_analyze_seconds_count"); got != 0 {
-		t.Errorf("warm process compiled %v times, want 0 (disk cache should serve it)", got)
+	// 0 compiled, 0 generated: the function came from the disk whole.
+	if got := exp.Value("mira_incremental_misses_total"); got != 0 {
+		t.Errorf("warm process compiled and modeled %v functions, want 0 (disk cache should serve it)", got)
 	}
-	if got := exp.Value("mira_rebuild_seconds_count"); got != 1 {
-		t.Errorf("warm process rebuild count = %v, want 1", got)
+	if got := exp.Value("mira_incremental_hits_total"); got != 1 {
+		t.Errorf("warm process reused %v functions, want 1", got)
 	}
 }
 

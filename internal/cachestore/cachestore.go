@@ -1,21 +1,24 @@
 // Package cachestore provides the content-addressed on-disk
-// implementation of engine.CacheStore and engine.FuncStore: compiled
-// analysis artifacts that survive process restarts, so a freshly started
-// mira-serve daemon rebuilds hot models by decoding stored bytes instead
-// of recompiling. Whole-source entries (source text + encoded object
-// file) and per-function entries (one compiled unit under its
-// function-content key) live side by side:
+// implementation of engine.CacheStore and engine.FuncStore: analysis
+// artifacts that survive process restarts. Per-function entries hold
+// everything a function costs to build — its compiled unit and its
+// generated model with warnings — so a freshly started mira-serve
+// daemon restores hot programs with neither the compiler nor the metric
+// generator, function by function. Whole-source entries (source text +
+// encoded object file of the linked program) live beside them:
 //
 //	<dir>/objects/<key[:2]>/<key>.mira    whole-source entries
-//	<dir>/funcs/<key[:2]>/<key>.mira      per-function units
+//	<dir>/funcs/<key[:2]>/<key>.mira      per-function entries
 //
-// where key is the engine's content hash (hex). Each entry file is
-// self-contained and checksummed:
+// where key is the engine's content hash (hex) for whole-source entries
+// and the function-content key (core.FuncKeys) for per-function ones.
+// Each entry file is self-contained and checksummed:
 //
 //	magic "MIRACS<version>\n" (engine.CacheFormatVersion)
 //	length-prefixed sections (uvarint length + bytes):
 //	    whole-source: key, name, source, object
-//	    per-function: key, name, unit
+//	    per-function: key, name, unit, model (model.EncodeFunc: the
+//	                  function's model followed by its warnings)
 //	sha256 over everything before it (32 bytes)
 //
 // Writes go through a temp file in the same directory followed by an
@@ -23,7 +26,9 @@
 // the final name. Reads verify the magic, the embedded key, the section
 // framing, and the checksum; any mismatch — truncation, corruption, a
 // past or future format version — is a miss, never an error: a damaged
-// or stale cache degrades to a recompile, function by function.
+// or stale cache degrades to a rebuild, function by function. (The
+// engine decodes the unit and model sections itself; a section that
+// fails to decode is likewise a miss for that one function.)
 package cachestore
 
 import (
@@ -125,20 +130,21 @@ func (d *Disk) LoadFunc(key string) (*engine.FuncEntry, bool) {
 	if err != nil {
 		return nil, false
 	}
-	sections, err := decodeSections(key, raw, 3)
+	sections, err := decodeSections(key, raw, 4)
 	if err != nil {
 		return nil, false
 	}
 	return &engine.FuncEntry{
-		Name: string(sections[1]),
-		Unit: append([]byte(nil), sections[2]...),
+		Name:  string(sections[1]),
+		Unit:  sections[2],
+		Model: sections[3],
 	}, true
 }
 
 // StoreFunc persists e under key, atomically.
 func (d *Disk) StoreFunc(key string, e *engine.FuncEntry) error {
 	return d.write("funcs", key,
-		encodeSections([]byte(key), []byte(e.Name), e.Unit))
+		encodeSections([]byte(key), []byte(e.Name), e.Unit, e.Model))
 }
 
 // write lands raw under sub/key via temp file + atomic rename.

@@ -187,8 +187,8 @@ func TestEngineDiskRoundTrip(t *testing.T) {
 	if exp.Value("mira_store_hits_total") == 0 {
 		t.Error("warm engine served no store hits")
 	}
-	if exp.Value("mira_analyze_seconds_count") != 0 {
-		t.Error("warm engine recompiled despite the disk cache")
+	if exp.Value("mira_incremental_misses_total") != 0 {
+		t.Error("warm engine compiled or modeled despite the disk cache")
 	}
 }
 
@@ -441,5 +441,174 @@ func TestVersionMismatchIsMiss(t *testing.T) {
 		if _, ok := d.LoadFunc(funcKey); ok {
 			t.Errorf("%q per-function entry served across a version bump", strings.TrimSpace(version))
 		}
+	}
+}
+
+// restartEngine opens dir as a restarted process would: a fresh store
+// handle under a fresh engine.
+func restartEngine(t *testing.T, dir string) *engine.Engine {
+	t.Helper()
+	d, err := cachestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.New(engine.Options{Store: d, Workers: 1})
+}
+
+// samples scrapes the engine's registry.
+func samples(t *testing.T, e *engine.Engine) map[string]float64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := e.Obs().WriteOpenMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.Parse(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exp.Samples
+}
+
+// sameAsCold fails unless a's Python model, warnings, and encoded object
+// equal those of a cold core.Analyze of the same source.
+func sameAsCold(t *testing.T, what string, a *engine.Analysis, src string) {
+	t.Helper()
+	cold, err := core.Analyze(a.Name, src, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotObj, err := a.EncodeObject()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantObj, err := cold.EncodeObject()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.PythonModel() != cold.PythonModel() {
+		t.Errorf("%s: Python model differs from a cold analysis", what)
+	}
+	if fmt.Sprint(a.Warnings) != fmt.Sprint(cold.Warnings) {
+		t.Errorf("%s: warnings %q differ from a cold analysis's %q", what, a.Warnings, cold.Warnings)
+	}
+	if !bytes.Equal(gotObj, wantObj) {
+		t.Errorf("%s: object differs from a cold analysis", what)
+	}
+}
+
+// TestWarmRestartSkipsCompileAndGenerate: a fresh engine over a reopened
+// store analyzes stored programs with zero functions compiled and zero
+// models generated, byte-equal to core.Analyze.
+func TestWarmRestartSkipsCompileAndGenerate(t *testing.T) {
+	dir := t.TempDir()
+	progs := map[string]string{"minife.c": benchprogs.MiniFE, "stream.c": benchprogs.Stream, "fig5.c": benchprogs.Fig5}
+	first := restartEngine(t, dir)
+	for name, src := range progs {
+		if _, err := first.AnalyzeCtx(context.Background(), name, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := restartEngine(t, dir)
+	for name, src := range progs {
+		a, err := warm.AnalyzeCtx(context.Background(), name, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := a.Delta(); d == nil || len(d.Compiled) != 0 {
+			t.Errorf("%s: warm restart compiled and modeled %v", name, d)
+		}
+		sameAsCold(t, name, a, src)
+	}
+	s := samples(t, warm)
+	if s["mira_incremental_misses_total"] != 0 || s["mira_store_misses_total"] != 0 || s["mira_store_errors_total"] != 0 {
+		t.Errorf("warm restart: %v compiled, %v store misses, %v store errors; want 0, 0, 0",
+			s["mira_incremental_misses_total"], s["mira_store_misses_total"], s["mira_store_errors_total"])
+	}
+	if s["mira_store_hits_total"] == 0 || s["mira_store_hits_total"] != s["mira_incremental_hits_total"] {
+		t.Errorf("warm restart: %v store hits for %v reused functions", s["mira_store_hits_total"], s["mira_incremental_hits_total"])
+	}
+}
+
+// TestCorruptModelSectionRebuildsOneFunction: an entry whose checksum is
+// intact but whose model section does not decode is a store error and a
+// miss for that one function — only it compiles and is modeled again, and
+// the result still equals a cold analysis.
+func TestCorruptModelSectionRebuildsOneFunction(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := restartEngine(t, dir).AnalyzeCtx(context.Background(), "minife.c", benchprogs.MiniFE); err != nil {
+		t.Fatal(err)
+	}
+	d, err := cachestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := funcKeysFor(t, "minife.c", benchprogs.MiniFE)["waxpby"]
+	ent, ok := d.LoadFunc(key)
+	if !ok {
+		t.Fatal("waxpby entry not on disk")
+	}
+	ent.Model = ent.Model[:len(ent.Model)/2]
+	if err := d.StoreFunc(key, ent); err != nil {
+		t.Fatal(err)
+	}
+
+	e := restartEngine(t, dir)
+	a, err := e.AnalyzeCtx(context.Background(), "minife.c", benchprogs.MiniFE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := a.Delta(); d == nil || !reflect.DeepEqual(d.Compiled, []string{"waxpby"}) {
+		t.Errorf("rebuilt %v, want only waxpby", d)
+	}
+	if s := samples(t, e); s["mira_store_errors_total"] != 1 {
+		t.Errorf("store errors = %v, want 1", s["mira_store_errors_total"])
+	}
+	sameAsCold(t, "minife.c", a, benchprogs.MiniFE)
+	if fixed, ok := d.LoadFunc(key); !ok || len(fixed.Model) <= len(ent.Model) {
+		t.Error("the rebuild did not repair the damaged entry")
+	}
+}
+
+// TestPreviousFormatEntriesAreCleanMisses: a directory written by the
+// previous format (version-3 magic, per-function entries holding only a
+// unit) warms nothing and breaks nothing — every function is a clean
+// miss, not a store error, and is rebuilt and rewritten in the current
+// format.
+func TestPreviousFormatEntriesAreCleanMisses(t *testing.T) {
+	dir := t.TempDir()
+	res, err := core.AnalyzeIncremental("minife.c", benchprogs.MiniFE, core.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := cachestore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 := fmt.Sprintf("MIRACS%d\n", 3)
+	for _, art := range res.Artifacts {
+		path := filepath.Join(d.Dir(), "funcs", art.Key[:2], art.Key+".mira")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		raw := encodeWithMagic(v3, []byte(art.Key), []byte(art.Name), core.EncodeUnit(art.Unit))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	e := restartEngine(t, dir)
+	a, err := e.AnalyzeCtx(context.Background(), "minife.c", benchprogs.MiniFE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := samples(t, e)
+	if n := float64(len(res.Artifacts)); s["mira_store_misses_total"] != n || s["mira_store_errors_total"] != 0 || s["mira_store_hits_total"] != 0 {
+		t.Errorf("v3 entries: %v misses, %v errors, %v hits; want %v, 0, 0",
+			s["mira_store_misses_total"], s["mira_store_errors_total"], s["mira_store_hits_total"], n)
+	}
+	sameAsCold(t, "minife.c", a, benchprogs.MiniFE)
+	warm := restartEngine(t, dir)
+	if b, err := warm.AnalyzeCtx(context.Background(), "minife.c", benchprogs.MiniFE); err != nil || len(b.Delta().Compiled) != 0 {
+		t.Errorf("entries were not rewritten in the current format: %v", err)
 	}
 }

@@ -129,9 +129,12 @@ func DecodeUnitBytes(raw []byte) (*Unit, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	const maxInstrs = 1 << 24 // refuse absurd counts before allocating
-	if n > maxInstrs {
-		return nil, fmt.Errorf("cc: unit decode: instruction count %d too large", n)
+	// Refuse counts the input cannot hold before allocating: every
+	// instruction takes at least five bytes (opcode and four varints) and
+	// its position tag two more.
+	const minInstrBytes = 7
+	if n > uint64(len(r.b)/minInstrBytes) {
+		return nil, fmt.Errorf("cc: unit decode: instruction count %d exceeds the %d bytes left", n, len(r.b))
 	}
 	u.Instrs = make([]ir.Instr, n)
 	for i := range u.Instrs {

@@ -157,7 +157,7 @@ func TestWireFuncEntryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != testFuncEntry.Name || string(got.Unit) != string(testFuncEntry.Unit) {
+	if got.Name != testFuncEntry.Name || string(got.Unit) != string(testFuncEntry.Unit) || string(got.Model) != string(testFuncEntry.Model) {
 		t.Errorf("round trip mismatch: %+v", got)
 	}
 	// A whole-source frame is not a function frame.

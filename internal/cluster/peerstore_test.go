@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -8,12 +10,14 @@ import (
 	"testing"
 	"time"
 
+	"mira/internal/benchprogs"
+	"mira/internal/core"
 	"mira/internal/engine"
 	"mira/internal/obs"
 )
 
 var testEntry = engine.Entry{Name: "k.c", Source: "double f() { return 1.0; }", Object: []byte{1, 2, 3, 4}}
-var testFuncEntry = engine.FuncEntry{Name: "f", Unit: []byte{9, 8, 7}}
+var testFuncEntry = engine.FuncEntry{Name: "f", Unit: []byte{9, 8, 7}, Model: []byte{6, 5}}
 
 // newTestPeerStore wires a PeerStore whose ring is {self, owner} with
 // the given options, returning the store and its health registry.
@@ -280,5 +284,55 @@ func TestPeerStoreSelfOwnedKey(t *testing.T) {
 	s.Flush()
 	if _, ok := s.Load(key); !ok {
 		t.Fatal("self-owned entry not served locally")
+	}
+}
+
+// TestPeerFuncHitCarriesModel: a per-function artifact fetched from a
+// peer carries the model beside the unit, so a cold replica warming from
+// the peer tier compiles nothing and generates no model, yet matches a
+// cold analysis byte for byte (Python model, warnings, object).
+func TestPeerFuncHitCarriesModel(t *testing.T) {
+	depot := &peerDepot{objects: map[string][]byte{}}
+	srv := httptest.NewServer(depot)
+	defer srv.Close()
+
+	s1 := ownerOnlyStore(t, srv.URL)
+	if _, err := engine.New(engine.Options{Store: s1}).AnalyzeCtx(context.Background(), "minife.c", benchprogs.MiniFE); err != nil {
+		t.Fatal(err)
+	}
+	s1.Flush()
+
+	s2 := ownerOnlyStore(t, srv.URL)
+	a, err := engine.New(engine.Options{Store: s2}).AnalyzeCtx(context.Background(), "minife.c", benchprogs.MiniFE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := a.Delta(); d == nil || len(d.Compiled) != 0 || len(d.Reused) == 0 {
+		t.Fatalf("replica warming from the peer: delta %+v, want every function reused", d)
+	}
+	if got, want := s2.met.peerHits.Value(), int64(len(a.Delta().Reused)); got != want {
+		t.Errorf("peer hits = %v, want %v (one per function)", got, want)
+	}
+	for q, key := range a.FuncKeys {
+		ent, ok := s2.Local().LoadFunc(key)
+		if !ok || len(ent.Model) == 0 {
+			t.Errorf("%s: peer hit filled no model into the local store", q)
+		}
+	}
+
+	cold, err := core.Analyze("minife.c", benchprogs.MiniFE, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotObj, err := a.EncodeObject()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantObj, err := cold.EncodeObject()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.PythonModel() != cold.PythonModel() || fmt.Sprint(a.Warnings) != fmt.Sprint(cold.Warnings) || !bytes.Equal(gotObj, wantObj) {
+		t.Error("analysis served from peer artifacts differs from a cold analysis")
 	}
 }

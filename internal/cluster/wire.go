@@ -17,15 +17,20 @@ import (
 // body, a version skew across a rolling deploy) is a clean miss for
 // exactly that entry, never an error and never a poisoned store.
 //
-//	magic "MIRAPEER<version>\n" (engine.CacheFormatVersion)
+//	magic: whole-source "MIRAPEER<version>\n", per-function
+//	       "MIRAPEERF<version>\n" (engine.CacheFormatVersion)
 //	whole-source: key, name, source, object
-//	per-function: key, name, unit
+//	per-function: key, name, unit, model
 //	sha256 over everything before it (32 bytes)
 
-// peerMagic is derived from the shared cache-key format version, so a
+// The magics are derived from the shared cache-key format version, so a
 // replica running a newer format reads an older peer's payloads as
-// misses instead of garbage.
-var peerMagic = fmt.Sprintf("MIRAPEER%d\n", engine.CacheFormatVersion)
+// misses instead of garbage. Each entry kind has its own, so a payload of
+// one kind never decodes as the other.
+var (
+	peerMagic     = fmt.Sprintf("MIRAPEER%d\n", engine.CacheFormatVersion)
+	peerFuncMagic = fmt.Sprintf("MIRAPEERF%d\n", engine.CacheFormatVersion)
+)
 
 // maxPeerPayload bounds what a replica will read from a peer response
 // or replication PUT: compiled artifacts are kilobytes; anything near
@@ -34,14 +39,14 @@ const maxPeerPayload = 64 << 20
 
 // EncodeEntry frames a whole-source entry for the peer wire.
 func EncodeEntry(key string, e *engine.Entry) []byte {
-	return encodeFrame([]byte(key), []byte(e.Name), []byte(e.Source), e.Object)
+	return encodeFrame(peerMagic, []byte(key), []byte(e.Name), []byte(e.Source), e.Object)
 }
 
 // DecodeEntry verifies and decodes a peer whole-source payload. Any
 // framing or checksum defect, or a payload whose embedded key is not
 // the requested one, is an error the caller treats as a miss.
 func DecodeEntry(key string, raw []byte) (*engine.Entry, error) {
-	sections, err := decodeFrame(key, raw, 4)
+	sections, err := decodeFrame(peerMagic, key, raw, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -52,20 +57,24 @@ func DecodeEntry(key string, raw []byte) (*engine.Entry, error) {
 	}, nil
 }
 
-// EncodeFuncEntry frames a per-function entry for the peer wire.
+// EncodeFuncEntry frames a per-function entry — unit and model — for
+// the peer wire.
 func EncodeFuncEntry(key string, e *engine.FuncEntry) []byte {
-	return encodeFrame([]byte(key), []byte(e.Name), e.Unit)
+	return encodeFrame(peerFuncMagic, []byte(key), []byte(e.Name), e.Unit, e.Model)
 }
 
-// DecodeFuncEntry verifies and decodes a peer per-function payload.
+// DecodeFuncEntry verifies and decodes a peer per-function payload. The
+// unit and model sections stay encoded; the engine decodes them, and a
+// defect there is a miss for that one function.
 func DecodeFuncEntry(key string, raw []byte) (*engine.FuncEntry, error) {
-	sections, err := decodeFrame(key, raw, 3)
+	sections, err := decodeFrame(peerFuncMagic, key, raw, 4)
 	if err != nil {
 		return nil, err
 	}
 	return &engine.FuncEntry{
-		Name: string(sections[1]),
-		Unit: append([]byte(nil), sections[2]...),
+		Name:  string(sections[1]),
+		Unit:  append([]byte(nil), sections[2]...),
+		Model: append([]byte(nil), sections[3]...),
 	}, nil
 }
 
@@ -76,9 +85,9 @@ func putSection(buf *bytes.Buffer, b []byte) {
 	buf.Write(b)
 }
 
-func encodeFrame(sections ...[]byte) []byte {
+func encodeFrame(magic string, sections ...[]byte) []byte {
 	var buf bytes.Buffer
-	buf.WriteString(peerMagic)
+	buf.WriteString(magic)
 	for _, s := range sections {
 		putSection(&buf, s)
 	}
@@ -89,8 +98,8 @@ func encodeFrame(sections ...[]byte) []byte {
 
 // decodeFrame verifies magic, checksum, and framing, returning exactly
 // want sections; sections[0] must equal key.
-func decodeFrame(key string, raw []byte, want int) ([][]byte, error) {
-	if len(raw) < len(peerMagic)+sha256.Size || string(raw[:len(peerMagic)]) != peerMagic {
+func decodeFrame(magic, key string, raw []byte, want int) ([][]byte, error) {
+	if len(raw) < len(magic)+sha256.Size || string(raw[:len(magic)]) != magic {
 		return nil, fmt.Errorf("cluster: bad magic or truncated payload")
 	}
 	body, sum := raw[:len(raw)-sha256.Size], raw[len(raw)-sha256.Size:]
@@ -98,7 +107,7 @@ func decodeFrame(key string, raw []byte, want int) ([][]byte, error) {
 	if !bytes.Equal(sum, wantSum[:]) {
 		return nil, fmt.Errorf("cluster: payload checksum mismatch")
 	}
-	r := body[len(peerMagic):]
+	r := body[len(magic):]
 	sections := make([][]byte, want)
 	for i := range sections {
 		length, n := binary.Uvarint(r)

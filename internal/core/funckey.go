@@ -24,7 +24,8 @@ import (
 //	1  whole-source content hashes (PR 1/2)
 //	2  function-granular Merkle keys; per-function store entries
 //	3  arch content keys replace arch names in key material
-const CacheFormatVersion = 3
+//	4  per-function entries carry the model and warnings beside the unit
+const CacheFormatVersion = 4
 
 // FuncKeys computes a content key for every function of an analyzed
 // program, under the given analysis options.

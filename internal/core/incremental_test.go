@@ -8,6 +8,8 @@ import (
 
 	"mira/internal/benchprogs"
 	"mira/internal/core"
+	"mira/internal/expr"
+	"mira/internal/model"
 	"mira/internal/parser"
 	"mira/internal/sema"
 )
@@ -227,48 +229,118 @@ func TestIncrementalIdenticalSourceReusesAll(t *testing.T) {
 	}
 }
 
-// TestIncrementalUnitRoundTrip checks the store representation: a unit
-// encoded with EncodeUnit and restored with DecodeUnit must stand in
-// for the original in a subsequent incremental analysis (model absent,
-// so metrics regenerate — but the linked object is byte-identical).
+// TestIncrementalUnitRoundTrip checks the store representation: every
+// artifact encoded with EncodeUnit and EncodeModel and restored with
+// DecodeArtifact must stand in for the original in a subsequent
+// incremental analysis — nothing compiles, no model is generated, and the
+// linked object, Python model, and warnings are byte-identical.
 func TestIncrementalUnitRoundTrip(t *testing.T) {
 	opts := core.Options{Lenient: true}
-	src := benchprogs.Dgemm
-	orig, err := core.AnalyzeIncremental("dgemm", src, opts, nil)
-	if err != nil {
-		t.Fatalf("cold: %v", err)
-	}
-	byKey := map[string]*core.FuncArtifact{}
-	for _, art := range orig.Artifacts {
-		raw := core.EncodeUnit(art.Unit)
-		u, err := core.DecodeUnit(raw)
+	for _, tc := range incrPrograms {
+		orig, err := core.AnalyzeIncremental(tc.name, tc.src, opts, nil)
 		if err != nil {
-			t.Fatalf("round-trip %s: %v", art.Name, err)
+			t.Fatalf("%s: cold: %v", tc.name, err)
 		}
-		byKey[art.Key] = &core.FuncArtifact{Key: art.Key, Name: art.Name, Unit: u}
+		byKey := map[string]*core.FuncArtifact{}
+		for _, art := range orig.Artifacts {
+			got, err := core.DecodeArtifact(art.Key, core.EncodeUnit(art.Unit), core.EncodeModel(art))
+			if err != nil {
+				t.Fatalf("%s: round-trip %s: %v", tc.name, art.Name, err)
+			}
+			if got.Key != art.Key || got.Name != art.Name {
+				t.Fatalf("%s: round-trip %s: identity %s/%s", tc.name, art.Name, got.Key, got.Name)
+			}
+			byKey[art.Key] = got
+		}
+		again, err := core.AnalyzeIncremental(tc.name, tc.src, opts, func(key string) (*core.FuncArtifact, bool) {
+			art, ok := byKey[key]
+			return art, ok
+		})
+		if err != nil {
+			t.Fatalf("%s: warm: %v", tc.name, err)
+		}
+		if len(again.Delta.Compiled) != 0 {
+			t.Fatalf("%s: round-tripped artifacts missed: rebuilt %v", tc.name, again.Delta.Compiled)
+		}
+		gotObj, err := again.Pipeline.EncodeObject()
+		if err != nil {
+			t.Fatalf("encode warm: %v", err)
+		}
+		wantObj, err := orig.Pipeline.EncodeObject()
+		if err != nil {
+			t.Fatalf("encode cold: %v", err)
+		}
+		if !bytes.Equal(gotObj, wantObj) {
+			t.Errorf("%s: object bytes differ after artifact round trip", tc.name)
+		}
+		if got, want := again.Pipeline.PythonModel(), orig.Pipeline.PythonModel(); got != want {
+			t.Errorf("%s: python model differs after artifact round trip", tc.name)
+		}
+		if got, want := strings.Join(again.Pipeline.Warnings, "\n"), strings.Join(orig.Pipeline.Warnings, "\n"); got != want {
+			t.Errorf("%s: warnings differ after artifact round trip: %q vs %q", tc.name, got, want)
+		}
 	}
-	again, err := core.AnalyzeIncremental("dgemm", src, opts, func(key string) (*core.FuncArtifact, bool) {
-		art, ok := byKey[key]
-		return art, ok
-	})
+}
+
+// TestDecodeArtifact: a stored artifact decodes only when both its unit
+// and its model are intact and name the same function; anything else is
+// an error the engine turns into a miss.
+func TestDecodeArtifact(t *testing.T) {
+	res, err := core.AnalyzeIncremental("minife", benchprogs.MiniFE, core.Options{}, nil)
 	if err != nil {
-		t.Fatalf("warm: %v", err)
+		t.Fatal(err)
 	}
-	if len(again.Delta.Compiled) != 0 {
-		t.Fatalf("round-tripped units missed: recompiled %v", again.Delta.Compiled)
+	waxpby, cgSolve := res.Artifacts["waxpby"], res.Artifacts["cg_solve"]
+	unit, fmodel := core.EncodeUnit(waxpby.Unit), core.EncodeModel(waxpby)
+	if _, err := core.DecodeArtifact(waxpby.Key, unit, fmodel); err != nil {
+		t.Fatalf("intact artifact: %v", err)
 	}
-	gotObj, err := again.Pipeline.EncodeObject()
+	for name, c := range map[string][2][]byte{
+		"truncated unit":  {unit[:len(unit)/2], fmodel},
+		"truncated model": {unit, fmodel[:len(fmodel)/2]},
+		"empty model":     {unit, nil},
+		"mismatched pair": {unit, core.EncodeModel(cgSolve)},
+	} {
+		if _, err := core.DecodeArtifact(waxpby.Key, c[0], c[1]); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestIncrementalRejectsArtifactsThatDoNotFit: a looked-up artifact whose
+// model names another function, or calls a function its source does not
+// (a self-call would make evaluation exponential), is a miss — the
+// function compiles and is modeled afresh — never a silently different
+// model.
+func TestIncrementalRejectsArtifactsThatDoNotFit(t *testing.T) {
+	opts := core.Options{}
+	orig, err := core.AnalyzeIncremental("minife", benchprogs.MiniFE, opts, nil)
 	if err != nil {
-		t.Fatalf("encode warm: %v", err)
+		t.Fatal(err)
 	}
-	wantObj, err := orig.Pipeline.EncodeObject()
-	if err != nil {
-		t.Fatalf("encode cold: %v", err)
-	}
-	if !bytes.Equal(gotObj, wantObj) {
-		t.Fatalf("object bytes differ after unit round trip")
-	}
-	if got, want := again.Pipeline.PythonModel(), orig.Pipeline.PythonModel(); got != want {
-		t.Fatalf("python model differs after unit round trip")
+	waxpby := orig.Artifacts["waxpby"]
+	selfCall := *waxpby.Model
+	selfCall.Calls = append([]*model.Call{{Callee: "waxpby", Mult: expr.Const(2)}}, selfCall.Calls...)
+	for name, bad := range map[string]*model.Func{
+		"another function's model": orig.Artifacts["cg_solve"].Model,
+		"a call sema never saw":    &selfCall,
+	} {
+		again, err := core.AnalyzeIncremental("minife", benchprogs.MiniFE, opts, func(key string) (*core.FuncArtifact, bool) {
+			for _, art := range orig.Artifacts {
+				if art.Key == key && art != waxpby {
+					return art, true
+				}
+			}
+			return &core.FuncArtifact{Key: key, Name: "waxpby", Unit: waxpby.Unit, Model: bad}, true
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := again.Delta.Compiled; len(got) != 1 || got[0] != "waxpby" {
+			t.Errorf("%s: compiled %v, want only waxpby", name, got)
+		}
+		if again.Pipeline.PythonModel() != orig.Pipeline.PythonModel() {
+			t.Errorf("%s: model differs from a cold analysis", name)
+		}
 	}
 }

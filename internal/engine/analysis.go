@@ -54,9 +54,8 @@ type Analysis struct {
 	// workers is the owning engine's parallelism bound, inherited by
 	// Sweep's fan-out; zero (standalone wrappers) means GOMAXPROCS.
 	workers int
-	// delta records the incremental build's reuse outcome; nil when the
-	// analysis was not produced by the incremental path (standalone
-	// wrappers, whole-source store rebuilds).
+	// delta records the build's reuse outcome; nil for standalone
+	// wrappers, which ran no engine build.
 	delta *core.Delta
 }
 
@@ -140,11 +139,11 @@ func (fe *funcEntry) artifact() *core.FuncArtifact {
 	return fe.art
 }
 
-// adopt installs (or upgrades) the cell's artifact. A model-carrying
-// artifact never downgrades to a unit-only one.
+// adopt installs the cell's artifact; the first one wins (every artifact
+// for one key is the same function, unit and model alike).
 func (fe *funcEntry) adopt(art *core.FuncArtifact) {
 	fe.mu.Lock()
-	if fe.art == nil || (fe.art.Model == nil && art.Model != nil) {
+	if fe.art == nil {
 		fe.art = art
 	}
 	fe.mu.Unlock()
@@ -224,10 +223,9 @@ func (a *Analysis) Compiled(fn string, exclusive bool) (*model.CompiledModel, er
 // resending — and without re-hashing — its source.
 func (a *Analysis) Key() string { return a.key }
 
-// Delta reports which functions the incremental build reused versus
-// recompiled, in link order; nil when no incremental pipeline ran for
-// this caller's request (standalone wrappers, whole-source store
-// rebuilds, live-cache hits).
+// Delta reports which functions the build reused versus compiled and
+// modeled afresh, in link order; nil when no pipeline ran for this
+// caller's request (standalone wrappers, live-cache hits).
 func (a *Analysis) Delta() *core.Delta { return a.delta }
 
 // withoutDelta returns a view of the analysis with no reuse delta — what

@@ -10,11 +10,11 @@
 //     generated model is kept under its function-content key
 //     (core.FuncKeys), so analyzing an *edited* source recompiles only
 //     the functions whose key changed and reuses everything else,
-//   - a pluggable persistent CacheStore beneath the live caches: compiled
-//     artifacts survive the process, and a warm restart decodes the
-//     stored object file (or per-function fragments, for stores that
-//     implement FuncStore) instead of recompiling (see cachestore for the
-//     content-addressed on-disk implementation), and
+//   - a pluggable persistent CacheStore beneath the live caches: per-
+//     function artifacts (unit, model, and warnings, for stores that
+//     implement FuncStore) survive the process, so a warm restart decodes
+//     them instead of compiling or generating anything (see cachestore
+//     for the content-addressed on-disk implementation), and
 //   - a memoized evaluation layer (Analysis) keyed on (function-content
 //     key, env) that makes repeated model queries O(map lookup) — across
 //     source versions, since the memo cells live under function keys.
@@ -66,10 +66,11 @@ type Options struct {
 	// inject the loaded registry here. The registry must not be mutated
 	// after the engine is built.
 	Registry *arch.Registry
-	// Store, when non-nil, persists compiled artifacts across engines
-	// (and, with a disk-backed store, across process restarts): a live-
-	// cache miss consults the store and rebuilds from the stored object
-	// file instead of recompiling.
+	// Store, when non-nil, persists analysis artifacts across engines
+	// (and, with a disk-backed store, across process restarts). If it
+	// also implements FuncStore, a live-cache miss restores every function
+	// whose per-function entry it holds — unit, model, and warnings —
+	// instead of compiling and modeling it.
 	Store CacheStore
 	// MaxResident bounds the number of entries (successes and cached
 	// failures) the live cache keeps; zero means unlimited. When the
@@ -209,32 +210,39 @@ func (e *Engine) funcCell(key string) *funcEntry {
 
 // lookupFuncArtifact serves core.AnalyzeIncrementalContext's per-function
 // cache probe: the live memo first, then a FuncStore-capable persistent
-// store (decoding the stored unit; a corrupt fragment counts as a store
-// error and degrades to a recompile of that one function).
+// store. A stored entry is decoded whole — unit, model, and warnings — so
+// a hit skips compilation and metric generation alike; a corrupt entry
+// counts as a store error and degrades to a rebuild of that one function.
 func (e *Engine) lookupFuncArtifact(key string) (*core.FuncArtifact, bool) {
 	e.funcMu.Lock()
 	fe := e.funcs[key]
 	e.funcMu.Unlock()
 	if fe != nil {
-		if art := fe.artifact(); art != nil && art.Unit != nil {
+		if art := fe.artifact(); art != nil {
 			return art, true
 		}
 	}
-	if fs, ok := e.store.(FuncStore); ok {
-		if ent, ok := fs.LoadFunc(key); ok && ent != nil {
-			u, err := core.DecodeUnit(ent.Unit)
-			if err == nil {
-				return &core.FuncArtifact{Key: key, Name: ent.Name, Unit: u}, true
-			}
-			e.met.storeErrors.Inc()
-		}
+	fs, ok := e.store.(FuncStore)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	ent, ok := fs.LoadFunc(key)
+	if !ok || ent == nil {
+		e.met.storeMisses.Inc()
+		return nil, false
+	}
+	art, err := core.DecodeArtifact(key, ent.Unit, ent.Model)
+	if err != nil {
+		e.met.storeErrors.Inc()
+		return nil, false
+	}
+	e.met.storeHits.Inc()
+	return art, true
 }
 
 // adoptArtifacts installs an incremental build's complete artifact set
-// into the function memo (model-carrying artifacts never downgrade) and
-// persists the newly compiled units to a FuncStore-capable store.
+// into the function memo and persists the newly built ones (unit, model,
+// and warnings) to a FuncStore-capable store.
 func (e *Engine) adoptArtifacts(res *core.IncrementalResult) {
 	compiled := make(map[string]bool, len(res.Delta.Compiled))
 	for _, q := range res.Delta.Compiled {
@@ -259,7 +267,8 @@ func (e *Engine) adoptArtifacts(res *core.IncrementalResult) {
 		if !compiled[art.Name] {
 			continue
 		}
-		if err := fs.StoreFunc(art.Key, &FuncEntry{Name: art.Name, Unit: core.EncodeUnit(art.Unit)}); err != nil {
+		ent := &FuncEntry{Name: art.Name, Unit: core.EncodeUnit(art.Unit), Model: core.EncodeModel(art)}
+		if err := fs.StoreFunc(art.Key, ent); err != nil {
 			e.met.storeErrors.Inc()
 		}
 	}
@@ -302,11 +311,11 @@ func (e *Engine) funcMemoStats() (cells, entries int) {
 // AnalyzeCtx runs the full pipeline on source, or returns the cached
 // Analysis if the same content (under the same options) was already
 // analyzed. Concurrent requests for the same content are deduplicated:
-// exactly one does the work. On a live-cache miss, a configured
-// CacheStore is consulted first: a stored artifact is decoded and the
-// model regenerated, skipping the compiler entirely. Failures are cached
-// too — the pipeline is deterministic, so retrying identical input
-// cannot succeed.
+// exactly one does the work. On a live-cache miss, each function is
+// served from the function memo or a configured FuncStore when its
+// content key hits there, and compiled and modeled only when it misses
+// both. Failures are cached too — the pipeline is deterministic, so
+// retrying identical input cannot succeed.
 //
 // Cancellation is honored at every wait point: a
 // caller abandoning a duplicate-key wait returns ctx.Err() immediately
@@ -401,39 +410,15 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// build produces the Analysis for one live-cache miss: try the
-// persistent store's whole-source artifact (warm path: decode + model
-// regeneration, no compiler), fall back to the function-granular
-// incremental pipeline — which consults the function memo and any
-// FuncStore so only changed functions recompile — and persist the fresh
-// artifacts (whole-source and per-function) for the next process. All
-// paths are panic-guarded — expr constructor contract violations
-// reachable through hostile source must surface as errors at this
-// boundary, not kill a resident server.
+// build produces the Analysis for one live-cache miss through the
+// function-granular pipeline — which serves each function from the
+// function memo or a FuncStore when it can, so only functions found in
+// neither compile and generate their models — and persists the fresh
+// artifacts (per-function, plus the whole-source entry) for the next
+// process. The pipeline is panic-guarded — expr constructor contract
+// violations reachable through hostile source must surface as errors at
+// this boundary, not kill a resident server.
 func (e *Engine) build(ctx context.Context, name, source, key string) (*Analysis, error) {
-	if e.store != nil {
-		if ent, ok := e.store.Load(key); ok {
-			// Trust nothing: the entry must be for this exact source.
-			if ent.Source == source {
-				start := time.Now()
-				p, err := safely("rebuild", func() (*core.Pipeline, error) {
-					return core.AnalyzeFromObjectContext(ctx, name, source, ent.Object, e.opts.Core)
-				})
-				if isCancellation(err) {
-					return nil, err
-				}
-				if err == nil {
-					e.met.rebuild.Observe(time.Since(start).Seconds())
-					e.met.storeHits.Inc()
-					return e.newAnalysis(p, key), nil
-				}
-			}
-			// Corrupt, stale, or mismatched entry: degrade to recompile.
-			e.met.storeErrors.Inc()
-		} else {
-			e.met.storeMisses.Inc()
-		}
-	}
 	start := time.Now()
 	res, err := safely("analysis", func() (*core.IncrementalResult, error) {
 		return core.AnalyzeIncrementalContext(ctx, name, source, e.opts.Core, e.lookupFuncArtifact)

@@ -2,20 +2,21 @@ package engine
 
 import "sync"
 
-// Entry is one persisted analysis artifact: the inputs plus the encoded
-// object file — enough for a later process to rebuild the pipeline with
-// core.AnalyzeFromObject instead of recompiling. Source rides along even
-// though the cache key already fingerprints it: a self-contained entry
-// lets stores verify integrity and the engine cross-check that a loaded
-// entry really belongs to the request before trusting it.
+// Entry is one persisted whole-source artifact: the inputs plus the
+// encoded object file of the linked program. The engine writes one per
+// build; it restores nothing from them (warm restarts go through the
+// per-function entries of a FuncStore), but they keep every analyzed
+// program's linked object on record for tools that read the store.
+// Source rides along even though the cache key already fingerprints it,
+// so an entry is self-contained and verifiable.
 type Entry struct {
 	Name   string
 	Source string
 	Object []byte
 }
 
-// CacheStore persists compiled artifacts keyed by the engine's content
-// hash. Implementations must be safe for concurrent use and must treat
+// CacheStore persists whole-source artifacts keyed by the engine's
+// content hash. Implementations must be safe for concurrent use and must treat
 // unreadable or corrupt entries as misses (Load ok=false), never as
 // errors — a damaged cache degrades to a recompile, it does not take the
 // service down. Store errors are reported so callers can count them, but
@@ -26,23 +27,28 @@ type CacheStore interface {
 	Store(key string, e *Entry) error
 }
 
-// FuncEntry is one persisted per-function artifact: a compiled unit (an
-// object-file fragment with unresolved, name-based call sites) in its
-// portable encoding, stored under the function-content key computed by
-// core.FuncKeys. The function's qualified name rides along for
-// diagnostics; the key alone is the identity.
+// FuncEntry is one persisted per-function artifact, stored under the
+// function-content key computed by core.FuncKeys: the compiled unit (an
+// object-file fragment with unresolved, name-based call sites) and the
+// function's generated model with its warnings, each in its portable
+// encoding (core.EncodeUnit, core.EncodeModel). Holding both, an entry
+// restores the function without compiling or modeling it. The function's
+// qualified name rides along for diagnostics; the key alone is the
+// identity.
 type FuncEntry struct {
-	Name string
-	Unit []byte
+	Name  string
+	Unit  []byte
+	Model []byte
 }
 
-// FuncStore is the optional function-granular extension of CacheStore:
-// per-function object fragments keyed by function-content hash, so an
-// edit to one function re-persists one small entry instead of the whole
-// artifact, and unchanged functions restore across processes and across
-// *different* source files sharing code. The corruption contract matches
-// CacheStore: a damaged entry is a miss (that one function recompiles),
-// never an error, and never affects sibling entries.
+// FuncStore is the optional function-granular extension of CacheStore,
+// and the tier warm restarts and peer hits are served from: per-function
+// artifacts keyed by function-content hash, so an edit to one function
+// re-persists one small entry instead of the whole program, and
+// unchanged functions restore across processes and across *different*
+// source files sharing code. The corruption contract matches CacheStore:
+// a damaged entry is a miss (that one function compiles and is modeled
+// again), never an error, and never affects sibling entries.
 type FuncStore interface {
 	LoadFunc(key string) (*FuncEntry, bool)
 	StoreFunc(key string, e *FuncEntry) error

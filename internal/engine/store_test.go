@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -27,8 +28,9 @@ func scrape(t *testing.T, e *engine.Engine) map[string]float64 {
 }
 
 // TestCacheStoreWarmRestart simulates a process restart: a second engine
-// sharing the first's CacheStore must serve the same source from the
-// stored artifact (a store hit, no recompile) and evaluate identically.
+// sharing the first's store must serve the same source from the stored
+// per-function artifact (a store hit: nothing compiled, no model
+// generated) and produce an identical analysis.
 func TestCacheStoreWarmRestart(t *testing.T) {
 	store := engine.NewMemoryStore()
 	env := expr.EnvFromInts(map[string]int64{"n": 500})
@@ -70,29 +72,62 @@ func TestCacheStoreWarmRestart(t *testing.T) {
 	if s["mira_store_hits_total"] != 1 {
 		t.Errorf("warm engine store hits = %v, want 1", s["mira_store_hits_total"])
 	}
-	if s["mira_analyze_seconds_count"] != 0 {
-		t.Errorf("warm engine ran the compiler %v times, want 0 (rebuild path)",
-			s["mira_analyze_seconds_count"])
+	// 0 compiled, 0 generated: every function came from the store whole.
+	if s["mira_incremental_misses_total"] != 0 || s["mira_incremental_hits_total"] != 1 {
+		t.Errorf("warm engine compiled and modeled %v functions (reused %v), want 0 (1)",
+			s["mira_incremental_misses_total"], s["mira_incremental_hits_total"])
 	}
-	if s["mira_rebuild_seconds_count"] != 1 {
-		t.Errorf("warm engine rebuild count = %v, want 1", s["mira_rebuild_seconds_count"])
+	if d := a2.Delta(); d == nil || len(d.Compiled) != 0 {
+		t.Errorf("warm delta = %+v, want nothing compiled", d)
+	}
+	if a2.PythonModel() != a1.PythonModel() || fmt.Sprint(a2.Warnings) != fmt.Sprint(a1.Warnings) {
+		t.Error("warm analysis differs from the cold one")
 	}
 }
 
 // TestCacheStoreCorruptEntryDegrades plants damaged artifacts and checks
-// the engine recompiles instead of failing or crashing.
+// the engine rebuilds instead of failing or crashing: a per-function
+// entry whose unit or model does not decode (or whose halves disagree) is
+// a store error and a miss, and a damaged whole-source entry is never
+// read. Every rebuild repairs the store in place.
 func TestCacheStoreCorruptEntryDegrades(t *testing.T) {
-	store := engine.NewMemoryStore()
 	probe := engine.New(engine.Options{})
-	key := probe.Key(scaleSrc)
+	good, err := probe.AnalyzeCtx(context.Background(), "scale.c", scaleSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := probe.AnalyzeCtx(context.Background(), "axpy.c", axpySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, fnKey := probe.Key(scaleSrc), good.FuncKeys["scale"]
+	seed := engine.NewMemoryStore()
+	if _, err := engine.New(engine.Options{Store: seed}).AnalyzeCtx(context.Background(), "scale.c", scaleSrc); err != nil {
+		t.Fatal(err)
+	}
+	intact, ok := seed.LoadFunc(fnKey)
+	if !ok {
+		t.Fatal("no per-function entry persisted")
+	}
+	seedOther := engine.NewMemoryStore()
+	if _, err := engine.New(engine.Options{Store: seedOther}).AnalyzeCtx(context.Background(), "axpy.c", axpySrc); err != nil {
+		t.Fatal(err)
+	}
+	foreign, _ := seedOther.LoadFunc(other.FuncKeys["axpy"])
 
-	cases := []*engine.Entry{
-		{Name: "scale.c", Source: scaleSrc, Object: []byte("not an object file")},
-		{Name: "scale.c", Source: scaleSrc, Object: nil},
-		{Name: "scale.c", Source: "something else entirely", Object: []byte{1, 2, 3}},
+	cases := []*engine.FuncEntry{
+		{Name: "scale", Unit: []byte("not a unit"), Model: intact.Model},
+		{Name: "scale", Unit: intact.Unit, Model: []byte("not a model")},
+		{Name: "scale", Unit: intact.Unit, Model: nil},
+		{Name: "scale", Unit: intact.Unit, Model: intact.Model[:len(intact.Model)-1]},
+		{Name: "scale", Unit: intact.Unit, Model: foreign.Model},
 	}
 	for i, ent := range cases {
-		if err := store.Store(key, ent); err != nil {
+		store := engine.NewMemoryStore()
+		if err := store.StoreFunc(fnKey, ent); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Store(key, &engine.Entry{Name: "scale.c", Source: scaleSrc, Object: []byte("not an object file")}); err != nil {
 			t.Fatal(err)
 		}
 		e := engine.New(engine.Options{Store: store})
@@ -100,8 +135,8 @@ func TestCacheStoreCorruptEntryDegrades(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: corrupt store entry broke analysis: %v", i, err)
 		}
-		if _, err := a.StaticMetrics("scale", expr.EnvFromInts(map[string]int64{"n": 10})); err != nil {
-			t.Fatalf("case %d: %v", i, err)
+		if a.PythonModel() != good.PythonModel() {
+			t.Errorf("case %d: analysis over a corrupt entry differs from cold", i)
 		}
 		s := scrape(t, e)
 		if s["mira_store_errors_total"] != 1 {
@@ -110,10 +145,13 @@ func TestCacheStoreCorruptEntryDegrades(t *testing.T) {
 		if s["mira_store_hits_total"] != 0 {
 			t.Errorf("case %d: corrupt entry counted as hit", i)
 		}
-		// The recompile must repair the store in place.
-		fixed, ok := store.Load(key)
-		if !ok || len(fixed.Object) == 0 || fixed.Source != scaleSrc {
-			t.Errorf("case %d: store not repaired after recompile", i)
+		// The rebuild must repair both entries in place.
+		fixed, ok := store.LoadFunc(fnKey)
+		if !ok || !bytes.Equal(fixed.Unit, intact.Unit) || !bytes.Equal(fixed.Model, intact.Model) {
+			t.Errorf("case %d: per-function entry not repaired after rebuild", i)
+		}
+		if whole, ok := store.Load(key); !ok || whole.Source != scaleSrc || string(whole.Object) == "not an object file" {
+			t.Errorf("case %d: whole-source entry not repaired after rebuild", i)
 		}
 	}
 }
@@ -183,7 +221,8 @@ func TestLookupByKey(t *testing.T) {
 
 // TestMaxResidentEviction bounds the live cache: a flood of distinct
 // sources must not grow it past the bound, evicted programs must still
-// re-analyze (via the store, no recompile), and holders of evicted
+// re-analyze without compiling anything (their functions come from the
+// function memo, or the per-function store), and holders of evicted
 // analyses must keep working.
 func TestMaxResidentEviction(t *testing.T) {
 	store := engine.NewMemoryStore()
@@ -213,20 +252,21 @@ func TestMaxResidentEviction(t *testing.T) {
 	if _, err := first.StaticMetrics("f", env); err != nil {
 		t.Errorf("evicted analysis unusable: %v", err)
 	}
-	// Re-requesting an evicted program restores from the store, not the
-	// compiler: every one of the 10 sources was persisted exactly once.
-	if store.Len() != 10 {
-		t.Fatalf("store has %d entries, want 10", store.Len())
+	// Re-requesting an evicted program restores its function instead of
+	// compiling it: every one of the 10 sources was persisted exactly
+	// once, per function and whole.
+	if store.Len() != 10 || store.FuncLen() != 10 {
+		t.Fatalf("store has %d whole-source and %d function entries, want 10 and 10", store.Len(), store.FuncLen())
 	}
-	before := s["mira_analyze_seconds_count"]
+	compiled, reused := s["mira_incremental_misses_total"], s["mira_incremental_hits_total"]
 	if _, err := e.AnalyzeCtx(context.Background(), "p0.c", src(0)); err != nil {
 		t.Fatal(err)
 	}
 	s = scrape(t, e)
-	if s["mira_analyze_seconds_count"] != before {
+	if s["mira_incremental_misses_total"] != compiled {
 		t.Error("re-analysis of an evicted program recompiled instead of restoring")
 	}
-	if s["mira_store_hits_total"] == 0 {
-		t.Error("no store hit recorded for the evicted program")
+	if s["mira_incremental_hits_total"] != reused+1 {
+		t.Errorf("re-analysis reused %v functions, want 1", s["mira_incremental_hits_total"]-reused)
 	}
 }

@@ -43,10 +43,6 @@ import (
 	"mira/internal/rational"
 )
 
-// maxCompileDepth mirrors the walkers' recursion bound (defensive; sema
-// rejects recursive programs).
-const maxCompileDepth = 64
-
 // chainElem is one link of a term's multiplicity chain: an index into
 // the compiled model's interned expressions. A probe element reproduces
 // the walkers' eager argument evaluation in bindEnv — it is evaluated
@@ -215,8 +211,8 @@ func (c *compiler) foldMult(me expr.Expr, chain []chainElem, constMult int64) (_
 // term per reached site. chain and constMult carry the multiplicities
 // accumulated from the root down to this function.
 func (c *compiler) inline(name string, sym map[string]expr.Expr, chain []chainElem, constMult int64, exclusive bool, depth int) error {
-	if depth > maxCompileDepth {
-		return fmt.Errorf("model: call depth exceeds %d at %q", maxCompileDepth, name)
+	if depth > maxCallDepth {
+		return errCallDepth(name)
 	}
 	f, ok := c.m.Funcs[name]
 	if !ok {

@@ -262,8 +262,17 @@ func (c *Call) bindEnv(env expr.Env) (childEnv expr.Env, unresolved []string, er
 type EvalOptions struct {
 	// Exclusive skips callee contributions.
 	Exclusive bool
-	// MaxDepth bounds call recursion (defensive; sema rejects recursion).
-	MaxDepth int
+}
+
+// maxCallDepth bounds call recursion in every evaluation path: both tree
+// walkers and the compiled model (defensive; sema rejects recursive
+// programs).
+const maxCallDepth = 64
+
+// errCallDepth is the depth-limit error of every evaluation path — one
+// message, so the walkers and the compiled model cannot drift apart.
+func errCallDepth(name string) error {
+	return fmt.Errorf("model: call depth exceeds %d at %q", maxCallDepth, name)
 }
 
 // Evaluate computes the inclusive metrics of function name under the given
@@ -271,18 +280,18 @@ type EvalOptions struct {
 // overridden by statically derived argument bindings; unresolved arguments
 // are looked up under their mangled names.
 func (m *Model) Evaluate(name string, env expr.Env) (Metrics, error) {
-	return m.eval(name, env, EvalOptions{MaxDepth: 64}, 0)
+	return m.eval(name, env, EvalOptions{}, 0)
 }
 
 // EvaluateExclusive computes body-only metrics.
 func (m *Model) EvaluateExclusive(name string, env expr.Env) (Metrics, error) {
-	return m.eval(name, env, EvalOptions{Exclusive: true, MaxDepth: 64}, 0)
+	return m.eval(name, env, EvalOptions{Exclusive: true}, 0)
 }
 
 func (m *Model) eval(name string, env expr.Env, opts EvalOptions, depth int) (Metrics, error) {
 	var out Metrics
-	if depth > opts.MaxDepth {
-		return out, fmt.Errorf("model: call depth exceeds %d at %q", opts.MaxDepth, name)
+	if depth > maxCallDepth {
+		return out, errCallDepth(name)
 	}
 	f, ok := m.Funcs[name]
 	if !ok {
@@ -349,8 +358,8 @@ func (m *Model) EvaluateOpcodes(name string, env expr.Env) (map[ir.Op]int64, err
 }
 
 func (m *Model) evalOpcodes(name string, env expr.Env, depth int, acc map[ir.Op]int64) error {
-	if depth > 64 {
-		return fmt.Errorf("model: call depth exceeded at %q", name)
+	if depth > maxCallDepth {
+		return errCallDepth(name)
 	}
 	f, ok := m.Funcs[name]
 	if !ok {

@@ -416,3 +416,36 @@ func TestCallArgBindingAgreement(t *testing.T) {
 		t.Errorf("EvaluateOpcodes err = %v, want mangled-name diagnostic", err)
 	}
 }
+
+// TestCallDepthErrorAgreement pins the depth limit across all three
+// evaluation paths: a call chain one level deeper than the limit fails
+// the inclusive walker, the opcode walker, and the compiled path with
+// byte-identical errors (the opcode walker used to word it differently).
+func TestCallDepthErrorAgreement(t *testing.T) {
+	m := &Model{Funcs: map[string]*Func{}}
+	name := func(i int) string { return "f" + strings.Repeat("x", i) }
+	for i := 0; i <= maxCallDepth+1; i++ {
+		f := &Func{Name: name(i), Sites: []*Site{{
+			Line: 1, Counts: catVec(ir.CatSSEArith, 1),
+			Ops: map[ir.Op]int64{ir.ADDSD: 1}, Flops: 1, Instrs: 1, Mult: expr.Const(1),
+		}}}
+		if i <= maxCallDepth {
+			f.Calls = []*Call{{Callee: name(i + 1), Line: 2, Mult: expr.Const(1)}}
+		}
+		m.Funcs[f.Name] = f
+		m.Order = append(m.Order, f.Name)
+	}
+	want := errCallDepth(name(maxCallDepth + 1)).Error()
+	_, errEval := m.Evaluate(name(0), expr.Env{})
+	_, errOps := m.EvaluateOpcodes(name(0), expr.Env{})
+	_, errCompile := m.Compile(name(0))
+	for path, err := range map[string]error{"Evaluate": errEval, "EvaluateOpcodes": errOps, "Compile": errCompile} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s at the depth limit: %v, want %q", path, err, want)
+		}
+	}
+	// One level shallower, every path succeeds.
+	delete(m.Funcs, name(maxCallDepth+1))
+	m.Funcs[name(maxCallDepth)].Calls = nil
+	evalBoth(t, m, name(0), expr.Env{})
+}

@@ -276,12 +276,15 @@ type reader struct {
 
 func (r *reader) remain() int { return len(r.b) - r.off }
 
-func (r *reader) bytes(n int) ([]byte, error) {
-	if r.remain() < n {
+// bytes takes the next n bytes. n is compared as uint64, so a length
+// uvarint too large for int is a truncation error, not a negative slice
+// bound.
+func (r *reader) bytes(n uint64) ([]byte, error) {
+	if uint64(r.remain()) < n {
 		return nil, fmt.Errorf("objfile: truncated (need %d bytes, have %d)", n, r.remain())
 	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
+	out := r.b[r.off : r.off+int(n)]
+	r.off += int(n)
 	return out, nil
 }
 
@@ -299,11 +302,25 @@ func (r *reader) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b, err := r.bytes(int(n))
+	b, err := r.bytes(n)
 	if err != nil {
 		return "", err
 	}
 	return string(b), nil
+}
+
+// count reads an element count and refuses any the remaining bytes
+// cannot hold at min bytes per element, so a hostile count is an error
+// before it sizes an allocation.
+func (r *reader) count(min int) (int, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(r.remain()/min) {
+		return 0, fmt.Errorf("objfile: count %d exceeds the %d bytes left", n, r.remain())
+	}
+	return int(n), nil
 }
 
 // Decode parses an object file.
@@ -328,6 +345,10 @@ func Decode(data []byte) (*File, error) {
 		return nil, err
 	}
 	nsec := int(binary.LittleEndian.Uint16(cntB))
+	const minSecBytes = 17 // empty name + offset + size
+	if nsec > r.remain()/minSecBytes {
+		return nil, fmt.Errorf("objfile: %d sections exceed the %d bytes left", nsec, r.remain())
+	}
 	type sec struct {
 		name string
 		off  uint64
@@ -352,7 +373,7 @@ func Decode(data []byte) (*File, error) {
 	body := func(name string) ([]byte, error) {
 		for _, s := range secs {
 			if s.name == name {
-				if s.off+s.size > uint64(len(data)) {
+				if s.off > uint64(len(data)) || s.size > uint64(len(data))-s.off {
 					return nil, fmt.Errorf("objfile: section %s out of bounds", name)
 				}
 				return data[s.off : s.off+s.size], nil
@@ -429,7 +450,8 @@ func decodeText(b []byte) ([]ir.Instr, error) {
 
 func decodeSyms(b []byte) ([]Symbol, error) {
 	r := &reader{b: b}
-	n, err := r.uvarint()
+	const minSymBytes = 7 // empty name, four uvarints, return kind, extern flag
+	n, err := r.count(minSymBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -454,7 +476,7 @@ func decodeSyms(b []byte) ([]Symbol, error) {
 		if err != nil {
 			return nil, err
 		}
-		pb, err := r.bytes(int(np))
+		pb, err := r.bytes(np)
 		if err != nil {
 			return nil, err
 		}
@@ -474,7 +496,8 @@ func decodeSyms(b []byte) ([]Symbol, error) {
 
 func decodeData(b []byte) ([]DataEntry, error) {
 	r := &reader{b: b}
-	n, err := r.uvarint()
+	const minDataBytes = 4 // empty name and three uvarints
+	n, err := r.count(minDataBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -490,12 +513,12 @@ func decodeData(b []byte) ([]DataEntry, error) {
 		if d.Size, err = r.uvarint(); err != nil {
 			return nil, err
 		}
-		ni, err := r.uvarint()
+		ni, err := r.count(8)
 		if err != nil {
 			return nil, err
 		}
 		if ni > 0 {
-			ib, err := r.bytes(int(ni) * 8)
+			ib, err := r.bytes(uint64(ni) * 8)
 			if err != nil {
 				return nil, err
 			}

@@ -2,7 +2,9 @@ package objfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mira/internal/dwarfline"
@@ -149,4 +151,70 @@ func TestFuzzDecodeNoPanic(t *testing.T) {
 		// Must never panic; errors are fine.
 		Decode(mut)
 	}
+}
+
+// TestDecodeHostileLengths pins two decoder defects: a length uvarint
+// that turned negative when converted to int panicked with "slice bounds
+// out of range", and unchecked counts sized allocations before any
+// element was read. Both must now be clean errors.
+func TestDecodeHostileLengths(t *testing.T) {
+	if _, err := Decode([]byte("MIRA\x01\x0000\xff\xff\xff\xff\xff\xff\xff\xff\xc0\x01")); err == nil {
+		t.Error("negative string length accepted")
+	}
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	if _, err := decodeSyms(huge); err == nil {
+		t.Error("huge symbol count accepted")
+	}
+	if _, err := decodeSyms(append([]byte{1, 1, 'f', 0, 0, 0}, huge...)); err == nil {
+		t.Error("huge parameter count accepted")
+	}
+	if _, err := decodeData(huge); err == nil {
+		t.Error("huge data count accepted")
+	}
+	if _, err := decodeData(append([]byte{1, 1, 'g', 0, 8}, huge...)); err == nil {
+		t.Error("huge data initializer count accepted")
+	}
+	// A section whose offset plus size wraps around uint64.
+	hdr := []byte("MIRA\x01\x00\x01\x00\x05.text")
+	hdr = binary.LittleEndian.AppendUint64(hdr, ^uint64(0))
+	hdr = binary.LittleEndian.AppendUint64(hdr, 2)
+	if _, err := Decode(hdr); err == nil {
+		t.Error("wrapping section bounds accepted")
+	}
+}
+
+// FuzzDecode feeds arbitrary bytes to the object decoder, seeded with a
+// real encoding and the hostile-length regression. Decoding must never
+// panic, must allocate in proportion to its input, and whatever decodes
+// must re-encode to bytes that decode again to the same encoding.
+func FuzzDecode(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sampleFile().Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("MIRA\x01\x0000\xff\xff\xff\xff\xff\xff\xff\xff\xc0\x01"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		obj, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+64<<10 {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := obj.Encode(&once); err != nil {
+			t.Fatalf("decoded file does not re-encode: %v", err)
+		}
+		again, err := Decode(once.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded file does not decode: %v", err)
+		}
+		if err := again.Encode(&twice); err != nil || !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-encoding is not stable (err %v)", err)
+		}
+	})
 }

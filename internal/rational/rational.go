@@ -9,7 +9,9 @@
 package rational
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/big"
 )
 
@@ -159,11 +161,21 @@ func (a Rat) Min(b Rat) Rat {
 // if either does not fit in int64 (counts and steps in Mira's models are
 // built from int64 source literals, so this cannot occur in practice).
 func (a Rat) NumDen() (num, den int64) {
-	b := a.big()
-	if !b.Num().IsInt64() || !b.Denom().IsInt64() {
+	num, den, ok := a.Int64Frac()
+	if !ok {
 		panic("rational: NumDen overflow")
 	}
-	return b.Num().Int64(), b.Denom().Int64()
+	return num, den
+}
+
+// Int64Frac is NumDen without the panic: ok is false when either part
+// does not fit in int64.
+func (a Rat) Int64Frac() (num, den int64, ok bool) {
+	b := a.big()
+	if !b.Num().IsInt64() || !b.Denom().IsInt64() {
+		return 0, 0, false
+	}
+	return b.Num().Int64(), b.Denom().Int64(), true
 }
 
 // Float64 returns the nearest float64 value.
@@ -189,4 +201,86 @@ func (a Rat) PythonString() string {
 		return b.Num().String()
 	}
 	return fmt.Sprintf("(%s/%s)", b.Num().String(), b.Denom().String())
+}
+
+// Binary forms of AppendBinary: a value whose numerator and denominator
+// both fit in int64 (every count Mira builds from source literals) is a
+// varint numerator and a uvarint denominator; anything larger spells out
+// both magnitudes as length-prefixed big-endian bytes.
+const (
+	binarySmall byte = iota
+	binaryBig
+)
+
+// AppendBinary appends the portable encoding of a to dst. ReadBinary is
+// its inverse.
+func (a Rat) AppendBinary(dst []byte) []byte {
+	if num, den, ok := a.Int64Frac(); ok {
+		dst = append(dst, binarySmall)
+		dst = binary.AppendVarint(dst, num)
+		return binary.AppendUvarint(dst, uint64(den))
+	}
+	b := a.big()
+	sign := byte(0)
+	if b.Sign() < 0 {
+		sign = 1
+	}
+	dst = append(dst, binaryBig, sign)
+	for _, mag := range []*big.Int{b.Num(), b.Denom()} {
+		raw := mag.Bytes() // absolute value
+		dst = binary.AppendUvarint(dst, uint64(len(raw)))
+		dst = append(dst, raw...)
+	}
+	return dst
+}
+
+// ReadBinary decodes one value encoded by AppendBinary from the front of
+// src and reports how many bytes it used. Malformed input (truncation, a
+// zero denominator, an unknown form) is an error, never a panic; the
+// cost is linear in the bytes consumed.
+func ReadBinary(src []byte) (Rat, int, error) {
+	if len(src) == 0 {
+		return Rat{}, 0, fmt.Errorf("rational: truncated value")
+	}
+	switch src[0] {
+	case binarySmall:
+		off := 1
+		num, n := binary.Varint(src[off:])
+		if n <= 0 {
+			return Rat{}, 0, fmt.Errorf("rational: bad numerator")
+		}
+		off += n
+		den, n := binary.Uvarint(src[off:])
+		if n <= 0 || den == 0 || den > math.MaxInt64 {
+			return Rat{}, 0, fmt.Errorf("rational: bad denominator")
+		}
+		off += n
+		if den == 1 {
+			return FromInt(num), off, nil
+		}
+		return Rat{big.NewRat(num, int64(den))}, off, nil
+	case binaryBig:
+		if len(src) < 2 || src[1] > 1 {
+			return Rat{}, 0, fmt.Errorf("rational: bad sign")
+		}
+		off := 2
+		var mags [2]*big.Int
+		for i := range mags {
+			l, n := binary.Uvarint(src[off:])
+			if n <= 0 || uint64(len(src)-off-n) < l {
+				return Rat{}, 0, fmt.Errorf("rational: truncated magnitude")
+			}
+			off += n
+			mags[i] = new(big.Int).SetBytes(src[off : off+int(l)])
+			off += int(l)
+		}
+		if mags[1].Sign() == 0 {
+			return Rat{}, 0, fmt.Errorf("rational: zero denominator")
+		}
+		if src[1] == 1 {
+			mags[0].Neg(mags[0])
+		}
+		return Rat{new(big.Rat).SetFrac(mags[0], mags[1])}, off, nil
+	}
+	return Rat{}, 0, fmt.Errorf("rational: unknown binary form %d", src[0])
 }
