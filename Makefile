@@ -36,16 +36,17 @@ govulncheck:
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
 # fuzz-smoke runs each native fuzz target for a bounded slice: the
-# three-way evaluator divergence fuzzer (tree walker vs compiled model vs
-# VM over synthesized programs), and the model codec and object file
-# decoders on arbitrary bytes (no panic, bounded allocation, stable
-# round trip). CI runs it on every push, so all of them stay
+# three-way evaluator divergence fuzzer (walker vs compiled model vs VM
+# over synthesized programs), and the model codec, object file and
+# compiled-unit decoders on arbitrary bytes (no panic, bounded
+# allocation, stable round trip). CI runs it on every push, so all of them stay
 # continuously fuzzed. go test fuzzes one target per invocation.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzThreeWayEvaluators -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run xxx -fuzz '^FuzzDecodeFunc$$' -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/objfile
+	$(GO) test -run xxx -fuzz '^FuzzDecodeUnit$$' -fuzztime $(FUZZTIME) ./internal/cc
 
 build:
 	$(GO) build ./...

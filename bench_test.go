@@ -613,8 +613,8 @@ func BenchmarkPublicEngineAPI(b *testing.B) {
 	env := expr.EnvFromInts(map[string]int64{"n": 1_000_000})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := res.Static("stream", env); err != nil {
-			b.Fatal(err)
+		if r := res.RunOne(context.Background(), mira.Query{Fn: "stream", Env: env, Kind: mira.KindStatic}); r.Err != nil {
+			b.Fatal(r.Err)
 		}
 	}
 }

@@ -104,8 +104,8 @@ func TestFrontDoorRateLimits(t *testing.T) {
 	}
 
 	// Health checks pass regardless of the client's bucket.
-	if w := get(s, "/healthz"); w.Code != http.StatusOK {
-		t.Fatalf("healthz while rate-limited: %d", w.Code)
+	if w := get(s, "/livez"); w.Code != http.StatusOK {
+		t.Fatalf("livez while rate-limited: %d", w.Code)
 	}
 }
 

@@ -24,8 +24,7 @@
 //	GET  /archs     architecture registry: builtins plus -arch-dir loads,
 //	                each with its content key
 //	GET  /metrics   OpenMetrics text exposition (cache, latency, HTTP series)
-//	GET  /healthz   liveness + uptime (alias of /livez)
-//	GET  /livez     liveness: the process is up
+//	GET  /livez     liveness + uptime: the process is up
 //	GET  /readyz    readiness: 503 while draining or interactive-saturated
 //
 // Every handler threads the request context into the engine, so a

@@ -162,8 +162,8 @@ func TestHostileRequestsGet4xxNotACrash(t *testing.T) {
 		}
 	}
 	// The daemon must still be healthy and able to do real work.
-	if w := get(h, "/healthz"); w.Code != 200 {
-		t.Fatalf("healthz after hostile traffic: %d", w.Code)
+	if w := get(h, "/livez"); w.Code != 200 {
+		t.Fatalf("livez after hostile traffic: %d", w.Code)
 	}
 	w := postJSON(t, h, "/eval", map[string]any{
 		"source": kernelSrc, "fn": "kernel", "env": map[string]int64{"n": 4},
@@ -312,21 +312,24 @@ func TestWarmRestartServesFromDiskCache(t *testing.T) {
 	}
 }
 
-func TestHealthz(t *testing.T) {
+func TestLivez(t *testing.T) {
 	h := newTestServer(t, "")
-	w := get(h, "/healthz")
+	w := get(h, "/livez")
 	if w.Code != 200 {
-		t.Fatalf("healthz %d", w.Code)
+		t.Fatalf("livez %d", w.Code)
 	}
 	var hr map[string]any
 	if err := json.Unmarshal(w.Body.Bytes(), &hr); err != nil {
 		t.Fatal(err)
 	}
 	if hr["status"] != "ok" {
-		t.Errorf("healthz body %v", hr)
+		t.Errorf("livez body %v", hr)
 	}
-	if _, ok := hr["workers"].(float64); !ok {
-		t.Errorf("healthz missing workers: %v", hr)
+	if _, ok := hr["uptime_seconds"].(float64); !ok {
+		t.Errorf("livez missing uptime: %v", hr)
+	}
+	if w := get(h, "/healthz"); w.Code != http.StatusNotFound {
+		t.Errorf("removed /healthz answers %d, want 404", w.Code)
 	}
 }
 
@@ -334,7 +337,7 @@ func TestHealthz(t *testing.T) {
 func TestMethodRouting(t *testing.T) {
 	h := newTestServer(t, "")
 	for _, c := range []struct{ method, path string }{
-		{"GET", "/analyze"}, {"GET", "/eval"}, {"POST", "/metrics"}, {"DELETE", "/healthz"},
+		{"GET", "/analyze"}, {"GET", "/eval"}, {"POST", "/metrics"}, {"DELETE", "/livez"},
 	} {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest(c.method, c.path, strings.NewReader("{}")))

@@ -69,13 +69,13 @@ func main() {
 		}
 	}
 
-	// The legacy helpers are one-cell wrappers over the same core, so
-	// mixing styles is safe.
-	met, err := res.Static("smooth", env(1_000))
-	if err != nil {
-		log.Fatal(err)
+	// RunOne is a one-cell Run over the same memo, so mixing styles is
+	// safe.
+	one := res.RunOne(ctx, mira.Query{Fn: "smooth", Env: env(1_000), Kind: mira.KindStatic})
+	if one.Err != nil {
+		log.Fatal(one.Err)
 	}
-	fmt.Printf("\nLegacy Static agrees: FPI=%d\n", met.FPI())
+	fmt.Printf("\nSingle-cell RunOne agrees: FPI=%d\n", one.Metrics.FPI())
 }
 
 func archOf(q mira.Query) string {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,10 +32,7 @@ func main() {
 	// is O(1) in the problem size.
 	fmt.Println("Static FPI prediction for axpy:")
 	for _, n := range []int64{1000, 1_000_000, 100_000_000} {
-		met, err := res.Static("axpy", mira.IntArgs(map[string]int64{"n": n}))
-		if err != nil {
-			log.Fatal(err)
-		}
+		met := static(res, n)
 		fmt.Printf("  n=%-12d FPI=%-12d total instructions=%d\n", n, met.FPI(), met.Instrs)
 	}
 
@@ -51,7 +49,18 @@ func main() {
 		log.Fatal(err)
 	}
 	st, _ := m.FuncStatsByName("axpy")
-	met, _ := res.Static("axpy", mira.IntArgs(map[string]int64{"n": n}))
+	met := static(res, n)
 	fmt.Printf("\nValidation at n=%d: measured FPI=%d, predicted FPI=%d (exact match: %t)\n",
 		n, st.FPIInclusive(), met.FPI(), int64(st.FPIInclusive()) == met.FPI())
+}
+
+// static evaluates axpy's inclusive static metrics at problem size n.
+func static(res *mira.Result, n int64) *mira.Metrics {
+	r := res.RunOne(context.Background(), mira.Query{
+		Fn: "axpy", Env: mira.IntArgs(map[string]int64{"n": n}), Kind: mira.KindStatic,
+	})
+	if r.Err != nil {
+		log.Fatal(r.Err)
+	}
+	return r.Metrics
 }

@@ -10,6 +10,8 @@
 package bridge
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"mira/internal/ir"
@@ -23,13 +25,12 @@ type Pos struct {
 }
 
 // SiteCounts aggregates the instructions attributed to one source position
-// within one function.
+// within one function. Ops is the only count form: category, flop and
+// instruction totals are derived from opcodes (Op.Cat, Op.Flops) when a
+// model is evaluated, never stored beside them.
 type SiteCounts struct {
-	Pos        Pos
-	ByCategory [ir.NumCategories]int64
-	ByOpcode   map[ir.Op]int64
-	Flops      int64
-	Instrs     int64
+	Pos Pos
+	Ops []ir.OpN // sorted by opcode; every count positive
 }
 
 // FuncBridge maps source positions to instruction groups for one function.
@@ -51,27 +52,41 @@ func Build(obj *objfile.File) *Bridge {
 		sym := &obj.Syms[i]
 		fb := &FuncBridge{Sym: sym, Sites: map[Pos]*SiteCounts{}}
 		text := obj.FuncText(sym)
+		// Sort the instructions by (position, opcode), so each site's
+		// counts are one run-length pass, carved from one backing array.
+		keyed := make([]posOp, len(text))
 		for idx, in := range text {
-			addr := sym.Start + uint64(idx)
-			var pos Pos
+			keyed[idx].op = in.Op
 			if obj.Line != nil {
-				if row, ok := obj.Line.Lookup(addr); ok {
-					pos = Pos{Line: row.Line, Col: row.Col}
+				if row, ok := obj.Line.Lookup(sym.Start + uint64(idx)); ok {
+					keyed[idx].pos = Pos{Line: row.Line, Col: row.Col}
 				}
 			}
-			sc, ok := fb.Sites[pos]
-			if !ok {
-				sc = &SiteCounts{Pos: pos, ByOpcode: map[ir.Op]int64{}}
-				fb.Sites[pos] = sc
+		}
+		slices.SortFunc(keyed, func(a, b posOp) int {
+			return cmp.Or(cmp.Compare(a.pos.Line, b.pos.Line), cmp.Compare(a.pos.Col, b.pos.Col), cmp.Compare(a.op, b.op))
+		})
+		ops := make([]ir.OpN, 0, len(keyed))
+		for j := 0; j < len(keyed); {
+			pos, start := keyed[j].pos, len(ops)
+			for ; j < len(keyed) && keyed[j].pos == pos; j++ {
+				if n := len(ops); n > start && ops[n-1].Op == keyed[j].op {
+					ops[n-1].N++
+				} else {
+					ops = append(ops, ir.OpN{Op: keyed[j].op, N: 1})
+				}
 			}
-			sc.ByCategory[in.Op.Cat()]++
-			sc.ByOpcode[in.Op]++
-			sc.Flops += int64(in.Op.Flops())
-			sc.Instrs++
+			fb.Sites[pos] = &SiteCounts{Pos: pos, Ops: ops[start:len(ops):len(ops)]}
 		}
 		b.funcs[sym.Name] = fb
 	}
 	return b
+}
+
+// posOp is one instruction's source position and opcode.
+type posOp struct {
+	pos Pos
+	op  ir.Op
 }
 
 // Func returns the per-function bridge for a qualified name.

@@ -53,10 +53,14 @@ func TestStatementToInstructionMapping(t *testing.T) {
 	if body == nil {
 		t.Fatalf("no site at 6:3; positions = %v", fb.Positions())
 	}
-	if body.ByOpcode[ir.ADDSD] != 1 {
-		t.Errorf("ADDSD at body = %d, want 1", body.ByOpcode[ir.ADDSD])
+	if n := opCounts(body)[ir.ADDSD]; n != 1 {
+		t.Errorf("ADDSD at body = %d, want 1", n)
 	}
-	if body.ByCategory[ir.CatSSEMove] == 0 {
+	moves := false
+	for _, o := range body.Ops {
+		moves = moves || o.Op.Cat() == ir.CatSSEMove
+	}
+	if !moves {
 		t.Error("no SSE2 movement at FP statement")
 	}
 
@@ -73,12 +77,12 @@ func TestStatementToInstructionMapping(t *testing.T) {
 
 	// The condition site holds the compare and conditional jump.
 	cond := fb.At(5, 14)
-	if cond == nil || cond.ByOpcode[ir.CMP] != 1 {
+	if cond == nil || opCounts(cond)[ir.CMP] != 1 {
 		t.Errorf("cond site = %+v", cond)
 	}
 	// The post site holds the increment and the back jump.
 	post := fb.At(5, 21)
-	if post == nil || post.ByOpcode[ir.INC] != 1 || post.ByOpcode[ir.JMP] != 1 {
+	if post == nil || opCounts(post)[ir.INC] != 1 || opCounts(post)[ir.JMP] != 1 {
 		t.Errorf("post site = %+v", post)
 	}
 }
@@ -119,10 +123,24 @@ double f(int n) {
 	var total int64
 	for _, p := range fb.Positions() {
 		sc := fb.At(int(p.Line), int(p.Col))
-		total += sc.Instrs
+		for i, o := range sc.Ops {
+			if o.N <= 0 || (i > 0 && o.Op <= sc.Ops[i-1].Op) {
+				t.Fatalf("site %v: ops %v not sorted with positive counts", p, sc.Ops)
+			}
+			total += o.N
+		}
 	}
 	sym, _ := obj.LookupSym("f")
 	if total != int64(sym.Count) {
 		t.Errorf("attributed %d instructions, symbol has %d", total, sym.Count)
 	}
+}
+
+// opCounts indexes a site's sparse opcode counts by opcode.
+func opCounts(sc *bridge.SiteCounts) map[ir.Op]int64 {
+	out := map[ir.Op]int64{}
+	for _, o := range sc.Ops {
+		out[o.Op] = o.N
+	}
+	return out
 }

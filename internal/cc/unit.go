@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"mira/internal/ir"
@@ -106,6 +107,45 @@ func (r *unitReader) varint() int64 {
 	return v
 }
 
+// int32 reads a varint that must fit an int32 field.
+func (r *unitReader) int32() int32 {
+	v := r.varint()
+	if r.err == nil && int64(int32(v)) != v {
+		r.err = fmt.Errorf("cc: unit decode: value %d overflows int32", v)
+	}
+	return int32(v)
+}
+
+// uint32 reads a uvarint that must fit a uint32 field.
+func (r *unitReader) uint32() uint32 {
+	v := r.uvarint()
+	if r.err == nil && v > math.MaxUint32 {
+		r.err = fmt.Errorf("cc: unit decode: value %d overflows uint32", v)
+	}
+	return uint32(v)
+}
+
+// op reads an opcode, refusing any that is not a defined one: a value
+// past the opcode space would otherwise truncate into a valid-looking
+// opcode, and an undefined one would fail the whole analysis at link
+// time instead of this one function's store entry.
+func (r *unitReader) op() ir.Op {
+	v := r.uvarint()
+	if r.err == nil && (v > math.MaxUint16 || !ir.Op(v).Valid()) {
+		r.err = fmt.Errorf("cc: unit decode: invalid opcode %d", v)
+	}
+	return ir.Op(v)
+}
+
+// kind reads a parameter kind, which is one byte wide.
+func (r *unitReader) kind() objfile.ParamKind {
+	v := r.uvarint()
+	if r.err == nil && v > math.MaxUint8 {
+		r.err = fmt.Errorf("cc: unit decode: parameter kind %d overflows a byte", v)
+	}
+	return objfile.ParamKind(v)
+}
+
 func (r *unitReader) string() string {
 	n := r.uvarint()
 	if r.err != nil {
@@ -138,13 +178,7 @@ func DecodeUnitBytes(raw []byte) (*Unit, error) {
 	}
 	u.Instrs = make([]ir.Instr, n)
 	for i := range u.Instrs {
-		u.Instrs[i] = ir.Instr{
-			Op:  ir.Op(r.uvarint()),
-			Rd:  int32(r.varint()),
-			Rs1: int32(r.varint()),
-			Rs2: int32(r.varint()),
-			Imm: r.varint(),
-		}
+		u.Instrs[i] = ir.Instr{Op: r.op(), Rd: r.int32(), Rs1: r.int32(), Rs2: r.int32(), Imm: r.varint()}
 	}
 	u.Tags = make([]token.Pos, n)
 	for i := range u.Tags {
@@ -170,7 +204,7 @@ func DecodeUnitBytes(raw []byte) (*Unit, error) {
 		u.Calls[int(idx)] = name
 	}
 	u.Sym.Name = r.string()
-	u.Sym.RegCount = uint32(r.uvarint())
+	u.Sym.RegCount = r.uint32()
 	np := r.uvarint()
 	if r.err != nil {
 		return nil, r.err
@@ -180,9 +214,9 @@ func DecodeUnitBytes(raw []byte) (*Unit, error) {
 	}
 	u.Sym.Params = make([]objfile.ParamKind, np)
 	for i := range u.Sym.Params {
-		u.Sym.Params[i] = objfile.ParamKind(r.uvarint())
+		u.Sym.Params[i] = r.kind()
 	}
-	u.Sym.Ret = objfile.ParamKind(r.uvarint())
+	u.Sym.Ret = r.kind()
 	if r.err != nil {
 		return nil, r.err
 	}

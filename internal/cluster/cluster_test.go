@@ -232,7 +232,6 @@ func TestClassOf(t *testing.T) {
 		"/sweep":               ClassBulk,
 		"/report":              ClassBulk,
 		"/metrics":             ClassControl,
-		"/healthz":             ClassControl,
 		"/cluster/ring":        ClassControl,
 		"/cluster/object/abcd": ClassControl,
 	} {

@@ -25,7 +25,9 @@ import (
 //	2  function-granular Merkle keys; per-function store entries
 //	3  arch content keys replace arch names in key material
 //	4  per-function entries carry the model and warnings beside the unit
-const CacheFormatVersion = 4
+//	5  model sites carry only their opcode counts (categories, flops and
+//	   instruction totals are derived at evaluation)
+const CacheFormatVersion = 5
 
 // FuncKeys computes a content key for every function of an analyzed
 // program, under the given analysis options.

@@ -93,6 +93,12 @@ type funcEntry struct {
 	opcodes map[fevalKey]map[ir.Op]int64
 	pbounds map[fevalKey]pbound.Counts
 
+	// metricFlights and opcodeFlights singleflight the metrics and
+	// opcode memos: concurrent misses on one point evaluate it once.
+	// Guarded by mu like the memos, through memoEval.
+	metricFlights map[fevalKey]*evalFlight[model.Metrics]
+	opcodeFlights map[fevalKey]*evalFlight[map[ir.Op]int64]
+
 	// rooflines and finecats memoize the arch-dependent query kinds.
 	// Their key carries the architecture description's *content key*, so
 	// two descriptions differing in any single parameter (say bandwidth)
@@ -123,12 +129,14 @@ type archPointKey struct {
 
 func newFuncEntry() *funcEntry {
 	return &funcEntry{
-		metrics:   map[fevalKey]model.Metrics{},
-		opcodes:   map[fevalKey]map[ir.Op]int64{},
-		pbounds:   map[fevalKey]pbound.Counts{},
-		rooflines: map[archPointKey]roofline.Analysis{},
-		finecats:  map[archPointKey]map[string]int64{},
-		compiled:  map[bool]*compiledSlot{},
+		metrics:       map[fevalKey]model.Metrics{},
+		opcodes:       map[fevalKey]map[ir.Op]int64{},
+		pbounds:       map[fevalKey]pbound.Counts{},
+		metricFlights: map[fevalKey]*evalFlight[model.Metrics]{},
+		opcodeFlights: map[fevalKey]*evalFlight[map[ir.Op]int64]{},
+		rooflines:     map[archPointKey]roofline.Analysis{},
+		finecats:      map[archPointKey]map[string]int64{},
+		compiled:      map[bool]*compiledSlot{},
 	}
 }
 
@@ -335,30 +343,14 @@ func (a *Analysis) StaticMetricsExclusive(fn string, env expr.Env) (model.Metric
 func (a *Analysis) cachedMetrics(fn string, env expr.Env, exclusive bool) (model.Metrics, error) {
 	fe := a.memoFor(fn)
 	key := fevalKey{env: envFingerprint(env), exclusive: exclusive}
-	fe.mu.RLock()
-	met, ok := fe.metrics[key]
-	fe.mu.RUnlock()
-	if ok {
-		a.observeEval(true, 0)
-		return met, nil
-	}
-	start := time.Now()
-	met, err := safely("evaluation", func() (model.Metrics, error) {
-		if exclusive {
-			return a.Pipeline.StaticMetricsExclusive(fn, env)
-		}
-		return a.Pipeline.StaticMetrics(fn, env)
+	return memoEval(a, fe, fe.metrics, fe.metricFlights, key, func() (model.Metrics, error) {
+		return safely("evaluation", func() (model.Metrics, error) {
+			if exclusive {
+				return a.Pipeline.StaticMetricsExclusive(fn, env)
+			}
+			return a.Pipeline.StaticMetrics(fn, env)
+		})
 	})
-	a.observeEval(false, time.Since(start).Seconds())
-	if err != nil {
-		// Errors are not cached: they are rare (bad function name or an
-		// unbound parameter) and carry no reuse value.
-		return met, err
-	}
-	fe.mu.Lock()
-	fe.metrics[key] = met
-	fe.mu.Unlock()
-	return met, nil
 }
 
 // EvaluateOpcodes returns fn's inclusive per-opcode counts under env,
@@ -366,25 +358,66 @@ func (a *Analysis) cachedMetrics(fn string, env expr.Env, exclusive bool) (model
 func (a *Analysis) EvaluateOpcodes(fn string, env expr.Env) (map[ir.Op]int64, error) {
 	fe := a.memoFor(fn)
 	key := fevalKey{env: envFingerprint(env)}
-	fe.mu.RLock()
-	ops, ok := fe.opcodes[key]
-	fe.mu.RUnlock()
-	if ok {
-		a.observeEval(true, 0)
-		return copyOps(ops), nil
-	}
-	start := time.Now()
-	ops, err := safely("evaluation", func() (map[ir.Op]int64, error) {
-		return a.Model.EvaluateOpcodes(fn, env)
+	ops, err := memoEval(a, fe, fe.opcodes, fe.opcodeFlights, key, func() (map[ir.Op]int64, error) {
+		return safely("evaluation", func() (map[ir.Op]int64, error) {
+			return a.Model.EvaluateOpcodes(fn, env)
+		})
 	})
-	a.observeEval(false, time.Since(start).Seconds())
 	if err != nil {
 		return nil, err
 	}
-	fe.mu.Lock()
-	fe.opcodes[key] = ops
-	fe.mu.Unlock()
 	return copyOps(ops), nil
+}
+
+// evalFlight is one in-progress memo miss; concurrent callers of the
+// same point wait on done instead of evaluating it again.
+type evalFlight[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// memoEval serves key from memo, or evaluates it once for every
+// concurrent caller: the first miss runs eval and publishes the result,
+// later callers of the same key wait for it and count as hits. Errors
+// reach the callers waiting on that evaluation but are not memoized:
+// they are rare (bad function name or an unbound parameter) and carry
+// no reuse value. memo and flights must be fe's maps, guarded by fe.mu.
+func memoEval[V any](a *Analysis, fe *funcEntry, memo map[fevalKey]V, flights map[fevalKey]*evalFlight[V], key fevalKey, eval func() (V, error)) (V, error) {
+	fe.mu.RLock()
+	v, ok := memo[key]
+	fe.mu.RUnlock()
+	if ok {
+		a.observeEval(true, 0)
+		return v, nil
+	}
+	fe.mu.Lock()
+	if v, ok := memo[key]; ok {
+		fe.mu.Unlock()
+		a.observeEval(true, 0)
+		return v, nil
+	}
+	if f, ok := flights[key]; ok {
+		fe.mu.Unlock()
+		<-f.done
+		a.observeEval(true, 0)
+		return f.val, f.err
+	}
+	f := &evalFlight[V]{done: make(chan struct{})}
+	flights[key] = f
+	fe.mu.Unlock()
+
+	start := time.Now()
+	f.val, f.err = eval()
+	a.observeEval(false, time.Since(start).Seconds())
+	fe.mu.Lock()
+	delete(flights, key)
+	if f.err == nil {
+		memo[key] = f.val
+	}
+	fe.mu.Unlock()
+	close(f.done)
+	return f.val, f.err
 }
 
 func copyOps(ops map[ir.Op]int64) map[ir.Op]int64 {

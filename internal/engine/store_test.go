@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"mira/internal/cc"
 	"mira/internal/engine"
 	"mira/internal/expr"
 	"mira/internal/obs"
@@ -87,8 +88,9 @@ func TestCacheStoreWarmRestart(t *testing.T) {
 
 // TestCacheStoreCorruptEntryDegrades plants damaged artifacts and checks
 // the engine rebuilds instead of failing or crashing: a per-function
-// entry whose unit or model does not decode (or whose halves disagree) is
-// a store error and a miss, and a damaged whole-source entry is never
+// entry whose unit or model does not decode (an undefined opcode
+// included) or whose halves disagree is a store error and a rebuild of
+// that one function, and a damaged whole-source entry is never
 // read. Every rebuild repairs the store in place.
 func TestCacheStoreCorruptEntryDegrades(t *testing.T) {
 	probe := engine.New(engine.Options{})
@@ -114,6 +116,13 @@ func TestCacheStoreCorruptEntryDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	foreign, _ := seedOther.LoadFunc(other.FuncKeys["axpy"])
+	// A well-framed unit holding an undefined opcode: it used to decode
+	// and then fail the whole analysis at link time.
+	badOp, err := cc.DecodeUnitBytes(intact.Unit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badOp.Instrs[0].Op = 60000
 
 	cases := []*engine.FuncEntry{
 		{Name: "scale", Unit: []byte("not a unit"), Model: intact.Model},
@@ -121,6 +130,7 @@ func TestCacheStoreCorruptEntryDegrades(t *testing.T) {
 		{Name: "scale", Unit: intact.Unit, Model: nil},
 		{Name: "scale", Unit: intact.Unit, Model: intact.Model[:len(intact.Model)-1]},
 		{Name: "scale", Unit: intact.Unit, Model: foreign.Model},
+		{Name: "scale", Unit: badOp.EncodeBytes(), Model: intact.Model},
 	}
 	for i, ent := range cases {
 		store := engine.NewMemoryStore()

@@ -265,6 +265,27 @@ func (op Op) IsFPI() bool { return op.Cat() == CatSSEArith }
 // OpCount returns the number of defined opcodes (for table-driven tests).
 func OpCount() int { return int(opCount) }
 
+// OpVec is a dense count vector indexed by opcode: the accumulator every
+// model evaluation sums into, with no map per call.
+type OpVec [opCount]int64
+
+// OpN is one (opcode, count) entry of a sparse count list.
+type OpN struct {
+	Op Op
+	N  int64
+}
+
+// Sparse returns v's nonzero entries in opcode order.
+func (v *OpVec) Sparse() []OpN {
+	var out []OpN
+	for op, n := range v {
+		if n != 0 {
+			out = append(out, OpN{Op: Op(op), N: n})
+		}
+	}
+	return out
+}
+
 // Instr is one decoded instruction.
 type Instr struct {
 	Op  Op

@@ -11,7 +11,7 @@ import (
 // (n^3 flops) unchecked accumulation wrapped negative and the garbage
 // landed in every cache built on top. All count accumulation must go
 // through the overflow-checked helpers — addChecked, mulChecked,
-// accumInto, Metrics.Add — which return model.ErrOverflow instead of
+// accumInto — which return model.ErrOverflow instead of
 // wrapping.
 var Multovf = &Analyzer{
 	Name: "multovf",

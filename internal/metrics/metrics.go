@@ -189,16 +189,12 @@ func (w *funcWalker) claim(pos token.Pos, mult expr.Expr, desc string) {
 	if sc == nil {
 		return
 	}
-	site := &model.Site{
+	w.fm.Sites = append(w.fm.Sites, &model.Site{
 		Line: pos.Line, Col: pos.Col,
-		Desc:   desc,
-		Flops:  sc.Flops,
-		Instrs: sc.Instrs,
-		Mult:   mult,
-		Ops:    sc.ByOpcode,
-	}
-	site.Counts = sc.ByCategory
-	w.fm.Sites = append(w.fm.Sites, site)
+		Desc: desc,
+		Ops:  sc.Ops,
+		Mult: mult,
+	})
 }
 
 func (w *funcWalker) claimCtx(pos token.Pos, ctx Context, desc string) error {

@@ -43,7 +43,7 @@ const maxExprDepth = 256
 // Minimum encoded sizes, used to cap counts by the bytes that remain.
 const (
 	minExprBytes = 2 // tag + empty name or empty operand list
-	minSiteBytes = 9 + int(ir.NumCategories)
+	minSiteBytes = 6 // line, col, empty desc, op count, minimal expr
 	minCallBytes = 7
 	minArgBytes  = 2
 	minOpBytes   = 2
@@ -61,22 +61,11 @@ func EncodeFunc(f *Func, warnings []string) []byte {
 		b = binary.AppendVarint(b, int64(s.Line))
 		b = binary.AppendVarint(b, int64(s.Col))
 		b = appendString(b, s.Desc)
-		b = binary.AppendUvarint(b, uint64(len(s.Counts)))
-		for _, n := range s.Counts {
-			b = binary.AppendVarint(b, n)
+		b = binary.AppendUvarint(b, uint64(len(s.Ops)))
+		for _, o := range s.Ops {
+			b = binary.AppendUvarint(b, uint64(o.Op))
+			b = binary.AppendVarint(b, o.N)
 		}
-		ops := make([]ir.Op, 0, len(s.Ops))
-		for op := range s.Ops {
-			ops = append(ops, op)
-		}
-		slices.Sort(ops)
-		b = binary.AppendUvarint(b, uint64(len(ops)))
-		for _, op := range ops {
-			b = binary.AppendUvarint(b, uint64(op))
-			b = binary.AppendVarint(b, s.Ops[op])
-		}
-		b = binary.AppendVarint(b, s.Flops)
-		b = binary.AppendVarint(b, s.Instrs)
 		b = appendExpr(b, s.Mult)
 	}
 	b = binary.AppendUvarint(b, uint64(len(f.Calls)))
@@ -308,26 +297,29 @@ func (r *reader) rat() rational.Rat {
 
 func (r *reader) site() *Site {
 	s := &Site{Line: int(r.varint()), Col: int(r.varint()), Desc: r.string()}
-	if n := r.uvarint(); r.err == nil && n != uint64(len(s.Counts)) {
-		r.fail("%d categories, want %d", n, len(s.Counts))
-	}
-	for c := range s.Counts {
-		s.Counts[c] = r.varint()
-	}
 	if n := r.count(minOpBytes); n > 0 {
-		s.Ops = make(map[ir.Op]int64, n)
-		prev := -1
-		for i := 0; i < n && r.err == nil; i++ {
-			op := r.uvarint()
-			if r.err == nil && (op > uint64(^ir.Op(0)) || !ir.Op(op).Valid() || int(op) <= prev) {
+		s.Ops = make([]ir.OpN, n)
+		prev, total := -1, int64(0)
+		for i := range s.Ops {
+			op, n := r.uvarint(), r.varint()
+			if r.err != nil {
+				break
+			}
+			if op > uint64(^ir.Op(0)) || !ir.Op(op).Valid() || int(op) <= prev {
 				r.fail("bad or unsorted opcode %d", op)
+				break
+			}
+			// Positive counts whose sum fits int64: every per-site
+			// category and instruction total derived from them does too.
+			var ok bool
+			if total, ok = addChecked(total, n); n <= 0 || !ok {
+				r.fail("bad count %d for opcode %d", n, op)
+				break
 			}
 			prev = int(op)
-			s.Ops[ir.Op(op)] = r.varint()
+			s.Ops[i] = ir.OpN{Op: ir.Op(op), N: n}
 		}
 	}
-	s.Flops = r.varint()
-	s.Instrs = r.varint()
 	s.Mult = r.expr(0)
 	return s
 }

@@ -2,7 +2,9 @@ package model_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -55,16 +57,12 @@ func richFunc() *model.Func {
 	}
 	n, m := expr.P("n"), expr.P("m")
 	body := expr.NewAdd(expr.NewMul(expr.V("i"), n), expr.ConstRat(rational.FromFrac(-7, 3)))
-	var counts [ir.NumCategories]int64
-	counts[ir.CatSSEArith] = 3
-	counts[0] = -1 << 40
 	return &model.Func{
 		Name:   "A::rich",
 		Params: []string{"n", "m"},
 		Sites: []*model.Site{{
-			Line: 3, Col: 9, Desc: "s = s + x[i]", Counts: counts,
-			Ops:   map[ir.Op]int64{ir.ADDSD: 2, ir.MULSD: 1},
-			Flops: 3, Instrs: 5,
+			Line: 3, Col: 9, Desc: "s = s + x[i]",
+			Ops:  []ir.OpN{{Op: ir.ADDSD, N: 2}, {Op: ir.MULSD, N: 1 << 40}},
 			Mult: expr.Sum{Var: "i", Lo: expr.Const(0), Hi: expr.NewSub(n, expr.Const(1)), Body: body},
 		}, {
 			Line: 4, Desc: "guard",
@@ -144,13 +142,19 @@ func TestDecodeFuncRejectsDefects(t *testing.T) {
 	// pad keeps counts plausible, so each case fails where it says.
 	pad := func(b []byte) []byte { return append(b, make([]byte, 16+ir.NumCategories)...) }
 	// A function "f" with no params, not extern, and one site whose
-	// fields after its category counts are tail.
+	// fields from its opcode count on are tail.
 	site := func(tail ...byte) []byte {
-		b := []byte{1, 'f', 0, 0, 1, 2, 2, 0, byte(ir.NumCategories)}
-		b = append(b, make([]byte, ir.NumCategories)...)
-		return pad(append(b, tail...))
+		return pad(append([]byte{1, 'f', 0, 0, 1, 2, 2, 0}, tail...))
 	}
-	deep := site(0, 0, 0)[:9+ir.NumCategories+3] // no ops, zero flops and instrs
+	// ops encodes an opcode count list (op, zigzag count) as a site tail.
+	ops := func(entries ...int64) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(entries)/2))
+		for i := 0; i < len(entries); i += 2 {
+			b = binary.AppendVarint(binary.AppendUvarint(b, uint64(entries[i])), entries[i+1])
+		}
+		return site(append(b, 2, 0)...) // then the multiplicity: parameter ""
+	}
+	deep := site(0)[:9] // no ops
 	for i := 0; i < 100000; i++ {
 		deep = append(deep, 4, 1) // Add of one operand, nested
 	}
@@ -163,15 +167,19 @@ func TestDecodeFuncRejectsDefects(t *testing.T) {
 		{"count past the end", []byte{1, 'f', 0, 0, 100}, "count"},
 		{"huge string length", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, "truncated string"},
 		{"bad extern byte", []byte{1, 'f', 0, 7, 0}, "boolean"},
-		{"category count", pad([]byte{1, 'f', 0, 0, 1, 2, 2, 0, byte(ir.NumCategories) + 1}), "categories"},
 		{"invalid opcode", site(1, 0xff, 0xff, 0x03, 1), "opcode"},
+		{"unsorted opcodes", ops(int64(ir.MULSD), 1, int64(ir.ADDSD), 1), "unsorted opcode"},
+		{"duplicate opcode", ops(int64(ir.ADDSD), 1, int64(ir.ADDSD), 1), "unsorted opcode"},
+		{"zero count", ops(int64(ir.ADDSD), 0), "bad count"},
+		{"negative count", ops(int64(ir.ADDSD), -1), "bad count"},
+		{"site total past int64", ops(int64(ir.ADDSD), math.MaxInt64, int64(ir.MULSD), 1), "bad count"},
 		{"deep nesting", deep, "nested deeper"},
-		{"bad expression tag", site(0, 0, 0, 99), "tag"},
-		{"empty operand list", site(0, 0, 0, 4, 0), "empty operand"},
-		{"floor division by zero", site(0, 0, 0, 6, 2, 0, 0, 0, 1), "division by zero"},
-		{"zero denominator", site(0, 0, 0, 1, 0, 2, 0), "denominator"},
-		{"big zero denominator", site(0, 0, 0, 1, 1, 0, 1, 1, 0), "denominator"},
-		{"trailing bytes", site(0, 0, 0, 2, 0, 0, 0, 0), "trailing"},
+		{"bad expression tag", site(0, 99), "tag"},
+		{"empty operand list", site(0, 4, 0), "empty operand"},
+		{"floor division by zero", site(0, 6, 2, 0, 0, 0, 1), "division by zero"},
+		{"zero denominator", site(0, 1, 0, 2, 0), "denominator"},
+		{"big zero denominator", site(0, 1, 1, 0, 1, 1, 0), "denominator"},
+		{"trailing bytes", site(0, 2, 0, 0, 0, 0), "trailing"},
 	}
 	for _, c := range cases {
 		_, _, err := model.DecodeFunc(c.raw)

@@ -2,8 +2,8 @@
 // closed form (paper Sec. IV-D1: "the model ... can be evaluated at low
 // computational cost").
 //
-// The tree walkers in model.go re-walk every function body, re-copy every
-// callee environment, and re-evaluate every multiplicity on each query.
+// The walker in model.go re-walks every function body, re-copies every
+// callee environment, and re-evaluates every multiplicity on each query.
 // That is fine for one point, and the engine memoizes repeated points —
 // but a parameter sweep visits each point exactly once, so the memo never
 // hits and a 10k-point grid costs 10k full tree walks. Compile does the
@@ -23,15 +23,18 @@
 // flat pass over terms, each term a handful of int64 multiplies against
 // per-point values of the interned expressions.
 //
-// Fidelity contract: CompiledModel.Eval returns exactly Evaluate's
-// metrics (and EvalOps exactly EvaluateOpcodes'), including the walkers'
-// per-level round-to-nearest of each multiplicity, the skip of a subtree
-// whose call multiplicity rounds to zero, ErrOverflow on counts that
-// leave int64, and bindEnv's runtime fallback from an uncomputable
-// derived argument to its mangled environment binding (expr.Fallback
-// carries that behavior into the compiled form). The two paths succeed
-// together with equal values or fail together; only error wording may
-// differ.
+// Fidelity contract: the compiled pass and the walker both produce one
+// per-opcode vector, and every view is read off that vector — Eval and
+// Evaluate/EvaluateExclusive fold it into Metrics (metricsOf), EvalOps
+// and EvaluateOpcodes return its nonzero entries. The compiled vector
+// equals the walker's, including the per-level round-to-nearest of each
+// multiplicity, the skip of a subtree whose call multiplicity rounds to
+// zero, ErrOverflow on counts that leave int64, and bindEnv's runtime
+// fallback from an uncomputable derived argument to its mangled
+// environment binding. A point the flat pass cannot finish is re-run
+// through the walker, whose outcome is definitive, so the two paths
+// succeed together with equal values or fail together with the same
+// error.
 package model
 
 import (
@@ -45,7 +48,7 @@ import (
 
 // chainElem is one link of a term's multiplicity chain: an index into
 // the compiled model's interned expressions. A probe element reproduces
-// the walkers' eager argument evaluation in bindEnv — it is evaluated
+// the walker's eager argument evaluation in bindEnv — it is evaluated
 // for its error (an unbound parameter must fail the query exactly where
 // the tree walk fails it) but its value never enters the product.
 type chainElem struct {
@@ -53,26 +56,14 @@ type chainElem struct {
 	probe bool
 }
 
-// term is one merged group of sites sharing a multiplicity chain. Counts
-// are pre-scaled by every constant multiplicity folded at compile time;
-// the chain holds only the symbolic remainder, outermost first, each
-// element rounded independently per point exactly as the walkers round
-// each level of the call tree. cats is the sparse form of counts
-// (nonzero categories only), derived once at the end of compilation —
-// the per-point hot loop iterates it instead of the dense vector.
+// term is one merged group of sites sharing a multiplicity chain. Its
+// opcode counts are pre-scaled by every constant multiplicity folded at
+// compile time; the chain holds only the symbolic remainder, outermost
+// first, each element rounded independently per point exactly as the
+// walker rounds each level of the call tree.
 type term struct {
-	chain  []chainElem
-	counts [ir.NumCategories]int64
-	cats   []catCount
-	flops  int64
-	instrs int64
-	ops    map[ir.Op]int64
-}
-
-// catCount is one nonzero (category, count) entry of a term.
-type catCount struct {
-	cat int
-	n   int64
+	chain []chainElem
+	ops   []ir.OpN // sorted by opcode, nonzero counts only
 }
 
 // CompiledModel is one function's call tree partially evaluated to
@@ -147,14 +138,6 @@ func (m *Model) compile(fn string, exclusive bool) (*CompiledModel, error) {
 		c.cm.params = append(c.cm.params, p)
 	}
 	sort.Strings(c.cm.params)
-	for i := range c.cm.terms {
-		t := &c.cm.terms[i]
-		for cat, n := range t.counts {
-			if n != 0 {
-				t.cats = append(t.cats, catCount{cat: cat, n: n})
-			}
-		}
-	}
 	return c.cm, nil
 }
 
@@ -188,7 +171,7 @@ func appendElem(chain []chainElem, idx int, probe bool) []chainElem {
 
 // foldMult handles one substituted multiplicity: a constant rounds and
 // folds into the running constant factor (a zero prunes the whole
-// subtree, matching the walkers' skip), anything symbolic — including a
+// subtree, matching the walker's skip), anything symbolic — including a
 // constant whose rounding overflows, which must only fail queries that
 // actually reach it — extends the chain. The returned prune flag means
 // the multiplicity is constant zero.
@@ -236,7 +219,7 @@ func (c *compiler) inline(name string, sym map[string]expr.Expr, chain []chainEl
 	for _, call := range f.Calls {
 		cChain, cConst, prune := c.foldMult(expr.SubstituteAll(call.Mult, sym), chain, constMult)
 		if prune {
-			continue // the walkers skip a zero-multiplicity call entirely
+			continue // the walker skips a zero-multiplicity call entirely
 		}
 		childSym := make(map[string]expr.Expr, len(sym)+len(call.Args))
 		for k, v := range sym {
@@ -255,8 +238,8 @@ func (c *compiler) inline(name string, sym map[string]expr.Expr, chain []chainEl
 			if _, isConst := expr.ConstVal(se); !isConst {
 				// bindEnv evaluates every derived argument eagerly, even
 				// ones the callee never reads; probe it so an argument
-				// the walkers cannot resolve fails the flat pass too
-				// (which then defers to the walker — see Eval — for
+				// the walker cannot resolve fails the flat pass too
+				// (which then defers to the walker — see eval — for
 				// bindEnv's mangled-name fallback and error wording).
 				cChain = appendElem(cChain, c.intern(se), true)
 			}
@@ -268,7 +251,7 @@ func (c *compiler) inline(name string, sym map[string]expr.Expr, chain []chainEl
 		}
 		if len(c.cm.terms) == before && len(cChain) > len(chain) {
 			// The callee contributed nothing countable (extern, empty, or
-			// fully merged) but the walkers still evaluate this call's
+			// fully merged) but the walker still evaluates this call's
 			// multiplicity and arguments: keep a zero-count guard term so
 			// their runtime errors surface identically.
 			if err := c.emit(cChain, 1, nil); err != nil {
@@ -308,15 +291,13 @@ func chainKey(chain []chainElem) string {
 // evaluations that actually reach the term — a parent multiplicity can
 // still zero it out at runtime, exactly as in the tree walk.
 func (c *compiler) emit(chain []chainElem, constMult int64, s *Site) error {
-	var t term
-	t.chain = chain
+	t := term{chain: chain}
 	if s != nil {
-		scaled, ok := scaleSite(s, constMult)
-		if !ok {
+		var ok bool
+		if t.ops, ok = scaleOps(s.Ops, constMult); !ok {
 			t.chain = appendElem(chain, c.intern(expr.Num{Val: rational.FromInt(constMult)}), false)
-			scaled, _ = scaleSite(s, 1)
+			t.ops = s.Ops
 		}
-		t = term{chain: t.chain, counts: scaled.counts, flops: scaled.flops, instrs: scaled.instrs, ops: scaled.ops}
 	}
 	key := chainKey(t.chain)
 	if i, ok := c.termIdx[key]; ok {
@@ -334,75 +315,34 @@ func (c *compiler) emit(chain []chainElem, constMult int64, s *Site) error {
 	return nil
 }
 
-type scaledSite struct {
-	counts [ir.NumCategories]int64
-	flops  int64
-	instrs int64
-	ops    map[ir.Op]int64
-}
-
-// scaleSite multiplies a site's counts by a constant multiplicity,
+// scaleOps multiplies opcode counts by a constant multiplicity,
 // reporting overflow instead of wrapping.
-func scaleSite(s *Site, mult int64) (scaledSite, bool) {
-	var out scaledSite
-	for cat, n := range s.Counts {
-		p, ok := mulChecked(n, mult)
+func scaleOps(ops []ir.OpN, mult int64) ([]ir.OpN, bool) {
+	out := make([]ir.OpN, len(ops))
+	for i, o := range ops {
+		n, ok := mulChecked(o.N, mult)
 		if !ok {
-			return out, false
+			return nil, false
 		}
-		out.counts[cat] = p
-	}
-	var ok bool
-	if out.flops, ok = mulChecked(s.Flops, mult); !ok {
-		return out, false
-	}
-	if out.instrs, ok = mulChecked(s.Instrs, mult); !ok {
-		return out, false
-	}
-	if len(s.Ops) > 0 {
-		out.ops = make(map[ir.Op]int64, len(s.Ops))
-		for op, n := range s.Ops {
-			p, ok := mulChecked(n, mult)
-			if !ok {
-				return out, false
-			}
-			out.ops[op] = p
-		}
+		out[i] = ir.OpN{Op: o.Op, N: n}
 	}
 	return out, true
 }
 
-// mergeTerm folds src into dst (same chain); false on overflow.
+// mergeTerm folds src's opcode counts into dst's (same chain); false
+// on overflow, leaving dst unchanged.
 func mergeTerm(dst, src *term) bool {
-	merged := *dst
-	var ok bool
-	for cat := range merged.counts {
-		if merged.counts[cat], ok = addChecked(merged.counts[cat], src.counts[cat]); !ok {
+	var v ir.OpVec
+	for _, o := range dst.ops {
+		v[o.Op] = o.N
+	}
+	for _, o := range src.ops {
+		var ok bool
+		if v[o.Op], ok = addChecked(v[o.Op], o.N); !ok {
 			return false
 		}
 	}
-	if merged.flops, ok = addChecked(merged.flops, src.flops); !ok {
-		return false
-	}
-	if merged.instrs, ok = addChecked(merged.instrs, src.instrs); !ok {
-		return false
-	}
-	ops := merged.ops
-	if len(src.ops) > 0 {
-		ops = make(map[ir.Op]int64, len(merged.ops)+len(src.ops))
-		for op, n := range merged.ops {
-			ops[op] = n
-		}
-		for op, n := range src.ops {
-			s, ok := addChecked(ops[op], n)
-			if !ok {
-				return false
-			}
-			ops[op] = s
-		}
-	}
-	merged.ops = ops
-	*dst = merged
+	dst.ops = v.Sparse()
 	return true
 }
 
@@ -493,7 +433,7 @@ func (sc *scratch) roundedValue(idx int) (int64, error) {
 // chainMult evaluates a term's multiplicity chain left to right —
 // outermost first, exactly the order the tree walk encounters them — and
 // returns the product of the rounded values. A zero short-circuits
-// before any later element is touched (the walkers skip the subtree),
+// before any later element is touched (the walker skips the subtree),
 // and probes are evaluated for effect only.
 func (sc *scratch) chainMult(chain []chainElem) (int64, error) {
 	mult := int64(1)
@@ -520,84 +460,60 @@ func (sc *scratch) chainMult(chain []chainElem) (int64, error) {
 	return mult, nil
 }
 
-// Eval computes the compiled function's metrics under env: a flat pass
-// over the merged terms, with no recursion and no environment copying.
-// Results are byte-identical to the tree-walk Evaluate (or
-// EvaluateExclusive for an exclusive compilation): a point the flat
-// pass cannot evaluate — an unbound parameter, an overflow, a derived
+// eval is the one per-point pass: it adds the compiled function's
+// per-opcode counts under env into acc — a flat pass over the merged
+// terms, with no recursion and no environment copying. A point the flat
+// pass cannot finish — an unbound parameter, an overflow, a derived
 // argument needing bindEnv's mangled-name fallback — is re-run through
 // the walker, whose outcome (a fallback-resolved success or the
 // canonical error) is definitive. The slow path costs one tree walk,
 // exactly the pre-compilation price, and only for failing points.
-func (cm *CompiledModel) Eval(env expr.Env) (Metrics, error) {
-	var out Metrics
+func (cm *CompiledModel) eval(env expr.Env, acc *ir.OpVec) error {
 	sc := cm.newScratch(env)
 	for i := range cm.terms {
 		t := &cm.terms[i]
 		mult, err := sc.chainMult(t.chain)
 		if err != nil {
-			return cm.walkMetrics(env)
+			return cm.walk(env, acc)
 		}
 		if mult == 0 {
 			continue
 		}
-		// Inline sparse accumulation: only the term's nonzero categories,
-		// no snapshot (a failed point is re-answered by the walker, so
-		// partial mutation of out is discarded anyway).
-		ok := true
-		for _, cc := range t.cats {
-			if ok = accumInto(&out.ByCategory[cc.cat], cc.n, mult); !ok {
-				break
+		for _, o := range t.ops {
+			if !accumInto(&acc[o.Op], o.N, mult) {
+				return cm.walk(env, acc)
 			}
 		}
-		if !ok || !accumInto(&out.Flops, t.flops, mult) || !accumInto(&out.Instrs, t.instrs, mult) {
-			return cm.walkMetrics(env)
-		}
 	}
-	return out, nil
+	return nil
 }
 
-// walkMetrics is Eval's failure path: the tree walk owns the full
-// runtime semantics (mangled-name argument fallback, error wording).
-func (cm *CompiledModel) walkMetrics(env expr.Env) (Metrics, error) {
-	if cm.exclusive {
-		return cm.model.EvaluateExclusive(cm.fn, env)
+// walk is eval's failure path: it discards the flat pass's partial sums
+// and lets the walker answer the point.
+func (cm *CompiledModel) walk(env expr.Env, acc *ir.OpVec) error {
+	*acc = ir.OpVec{}
+	return cm.model.eval(cm.fn, env, cm.exclusive, 0, acc)
+}
+
+// Eval computes the compiled function's metrics under env, identical to
+// Evaluate (or EvaluateExclusive for an exclusive compilation).
+func (cm *CompiledModel) Eval(env expr.Env) (Metrics, error) {
+	var v ir.OpVec
+	if err := cm.eval(env, &v); err != nil {
+		return Metrics{}, err
 	}
-	return cm.model.Evaluate(cm.fn, env)
+	return metricsOf(cm.fn, &v)
 }
 
 // EvalOps computes the compiled per-opcode counts under env, identical
-// to the tree-walk EvaluateOpcodes (with the same walker failure path
-// as Eval; an exclusive compilation has no opcode walker counterpart,
-// so its rare failures surface directly). The returned map is fresh.
+// to EvaluateOpcodes (body-only for an exclusive compilation). The
+// returned map is fresh and holds the nonzero counts only.
 func (cm *CompiledModel) EvalOps(env expr.Env) (map[ir.Op]int64, error) {
-	out := map[ir.Op]int64{}
-	sc := cm.newScratch(env)
-	walk := func(flatErr error) (map[ir.Op]int64, error) {
-		if cm.exclusive {
-			return nil, fmt.Errorf("model: compiled %s: %w", cm.fn, flatErr)
-		}
-		return cm.model.EvaluateOpcodes(cm.fn, env)
+	var v ir.OpVec
+	if err := cm.eval(env, &v); err != nil {
+		return nil, err
 	}
-	for i := range cm.terms {
-		t := &cm.terms[i]
-		if len(t.ops) == 0 && len(t.chain) == 0 {
-			continue
-		}
-		mult, err := sc.chainMult(t.chain)
-		if err != nil {
-			return walk(err)
-		}
-		if mult == 0 {
-			continue
-		}
-		for op, n := range t.ops {
-			if err := accumOp(out, op, n, mult); err != nil {
-				return walk(err)
-			}
-		}
-	}
-	return out, nil
+	return opsOf(&v), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -621,7 +537,12 @@ const (
 // fractional multiplicities make it the un-rounded idealization — use
 // Eval for numbers, this for reading the model's shape.
 func (cm *CompiledModel) CategoryExpr(cat ir.Category) expr.Expr {
-	return cm.closedForm(func(t *term) int64 { return t.counts[cat] })
+	return cm.closedForm(func(op ir.Op) int64 {
+		if op.Cat() == cat {
+			return 1
+		}
+		return 0
+	})
 }
 
 // Expr returns the named closed-form series (see CategoryExpr for the
@@ -629,23 +550,30 @@ func (cm *CompiledModel) CategoryExpr(cat ir.Category) expr.Expr {
 func (cm *CompiledModel) Expr(which MetricExpr) expr.Expr {
 	switch which {
 	case ExprFlops:
-		return cm.closedForm(func(t *term) int64 { return t.flops })
+		return cm.closedForm(func(op ir.Op) int64 { return int64(op.Flops()) })
 	case ExprFPI:
 		return cm.CategoryExpr(ir.CatSSEArith)
 	default:
-		return cm.closedForm(func(t *term) int64 { return t.instrs })
+		return cm.closedForm(func(ir.Op) int64 { return 1 })
 	}
 }
 
-func (cm *CompiledModel) closedForm(pick func(*term) int64) expr.Expr {
+// closedForm sums, over terms, each term's opcode counts weighted by
+// weight(op) times its multiplicity chain. A term's weighted count is
+// summed exactly, so a coefficient beyond int64 stays symbolic instead
+// of wrapping.
+func (cm *CompiledModel) closedForm(weight func(ir.Op) int64) expr.Expr {
 	var terms []expr.Expr
 	for i := range cm.terms {
 		t := &cm.terms[i]
-		n := pick(t)
-		if n == 0 {
+		n := rational.Zero
+		for _, o := range t.ops {
+			n = n.Add(rational.FromInt(o.N).Mul(rational.FromInt(weight(o.Op))))
+		}
+		if n.Sign() == 0 {
 			continue
 		}
-		factors := []expr.Expr{expr.Const(n)}
+		factors := []expr.Expr{expr.Num{Val: n}}
 		for _, el := range t.chain {
 			if !el.probe {
 				factors = append(factors, cm.exprs[el.idx])

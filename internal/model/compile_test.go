@@ -19,7 +19,7 @@ func evalBoth(t *testing.T, m *Model, fn string, env expr.Env) {
 	}
 	met, errW := m.Evaluate(fn, env)
 	cmet, errC := cm.Eval(env)
-	if (errW == nil) != (errC == nil) {
+	if errString(errW) != errString(errC) {
 		t.Fatalf("%s: walker err=%v, compiled err=%v", fn, errW, errC)
 	}
 	if errW == nil && met != cmet {
@@ -27,7 +27,7 @@ func evalBoth(t *testing.T, m *Model, fn string, env expr.Env) {
 	}
 	ops, errW := m.EvaluateOpcodes(fn, env)
 	cops, errC := cm.EvalOps(env)
-	if (errW == nil) != (errC == nil) {
+	if errString(errW) != errString(errC) {
 		t.Fatalf("%s ops: walker err=%v, compiled err=%v", fn, errW, errC)
 	}
 	if errW == nil {
@@ -40,6 +40,13 @@ func evalBoth(t *testing.T, m *Model, fn string, env expr.Env) {
 			}
 		}
 	}
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 func TestCompileMatchesWalker(t *testing.T) {
@@ -93,8 +100,7 @@ func TestCompileMangledFallback(t *testing.T) {
 		Name:   "inner",
 		Params: []string{"m"},
 		Sites: []*Site{{
-			Line: 2, Counts: catVec(ir.CatSSEArith, 1),
-			Ops: map[ir.Op]int64{ir.ADDSD: 1}, Flops: 1, Instrs: 1,
+			Line: 2, Ops: []ir.OpN{{Op: ir.ADDSD, N: 1}},
 			Mult: expr.P("m"),
 		}},
 	}
@@ -134,8 +140,7 @@ func TestCompileSumVariableCapture(t *testing.T) {
 		Name:   "g",
 		Params: []string{"m"},
 		Sites: []*Site{{
-			Line: 2, Counts: catVec(ir.CatSSEArith, 1),
-			Ops: map[ir.Op]int64{ir.ADDSD: 1}, Flops: 1, Instrs: 1,
+			Line: 2, Ops: []ir.OpN{{Op: ir.ADDSD, N: 1}},
 			Mult: sumMult,
 		}},
 	}
@@ -166,8 +171,7 @@ func TestCompileUncomputableArgFallback(t *testing.T) {
 		Name:   "g",
 		Params: []string{"m"},
 		Sites: []*Site{{
-			Line: 2, Counts: catVec(ir.CatSSEArith, 1),
-			Ops: map[ir.Op]int64{ir.ADDSD: 1}, Flops: 1, Instrs: 1,
+			Line: 2, Ops: []ir.OpN{{Op: ir.ADDSD, N: 1}},
 			Mult: expr.P("m"),
 		}},
 	}
@@ -209,8 +213,7 @@ func TestCompileOverflow(t *testing.T) {
 		Name:   "inner",
 		Params: []string{"m"},
 		Sites: []*Site{{
-			Line: 2, Counts: catVec(ir.CatSSEArith, 2),
-			Ops: map[ir.Op]int64{ir.ADDSD: 2}, Flops: 2, Instrs: 2,
+			Line: 2, Ops: []ir.OpN{{Op: ir.ADDSD, N: 2}},
 			Mult: expr.NewMul(expr.P("m"), expr.P("m")),
 		}},
 	}
@@ -238,7 +241,7 @@ func TestCompileOverflow(t *testing.T) {
 	if _, err := cm.Eval(env); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("compiled overflow err = %v, want ErrOverflow", err)
 	}
-	if err := m.evalOpcodes("outer", env, 0, map[ir.Op]int64{}); !errors.Is(err, ErrOverflow) {
+	if _, err := m.EvaluateOpcodes("outer", env); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("opcode walker overflow err = %v, want ErrOverflow", err)
 	}
 	if _, err := cm.EvalOps(env); !errors.Is(err, ErrOverflow) {
@@ -256,8 +259,7 @@ func TestCompileFractionalRounding(t *testing.T) {
 		Name:   "inner",
 		Params: []string{"m"},
 		Sites: []*Site{{
-			Line: 2, Counts: catVec(ir.CatSSEArith, 1),
-			Ops: map[ir.Op]int64{ir.ADDSD: 1}, Flops: 1, Instrs: 1,
+			Line: 2, Ops: []ir.OpN{{Op: ir.ADDSD, N: 1}},
 			// 0.37*m: fractional for most m, rounds per level.
 			Mult: expr.NewMul(expr.ConstRat(fr(37, 100)), expr.P("m")),
 		}},
@@ -304,10 +306,10 @@ func TestCompileConstantFolding(t *testing.T) {
 	f := &Func{
 		Name: "leaf",
 		Sites: []*Site{
-			{Line: 1, Counts: catVec(ir.CatIntData, 3), Instrs: 3, Mult: expr.Const(7),
-				Ops: map[ir.Op]int64{ir.PUSH: 3}},
-			{Line: 2, Counts: catVec(ir.CatIntData, 1), Instrs: 1, Mult: expr.Const(2),
-				Ops: map[ir.Op]int64{ir.POP: 1}},
+			{Line: 1, Mult: expr.Const(7),
+				Ops: []ir.OpN{{Op: ir.PUSH, N: 3}}},
+			{Line: 2, Mult: expr.Const(2),
+				Ops: []ir.OpN{{Op: ir.POP, N: 1}}},
 		},
 	}
 	m := &Model{Order: []string{"leaf"}, Funcs: map[string]*Func{"leaf": f}}

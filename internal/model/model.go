@@ -1,7 +1,7 @@
 // Package model defines Mira's generated performance model: per-function
 // metric programs over symbolic multiplicities (paper Sec. III-C, Fig. 5).
 //
-// A Func mirrors one source function. Each Site pairs the instruction
+// A Func mirrors one source function. Each Site pairs the per-opcode
 // counts of one source position (from the bridge) with a symbolic
 // execution-count expression (from the polyhedral model). Each Call records
 // a callee invocation with its multiplicity and argument bindings; calls
@@ -24,8 +24,8 @@ import (
 	"mira/internal/rational"
 )
 
-// ErrOverflow is the typed error every evaluation path (tree walkers and
-// the compiled path) returns when an instruction count or multiplicity
+// ErrOverflow is the typed error every evaluation path (the walker and
+// the compiled pass) returns when an instruction count or multiplicity
 // no longer fits in int64. At sweep-scale sizes (dgemm n^3 flops) raw
 // accumulation silently wraps negative and poisons every cache built on
 // top; check with errors.Is.
@@ -44,6 +44,10 @@ func addChecked(a, b int64) (int64, bool) {
 func mulChecked(a, b int64) (int64, bool) {
 	if a == 0 || b == 0 {
 		return 0, true
+	}
+	// Fast path: both factors fit in 32 bits, so the product fits in 63.
+	if uint64(a+1<<31) < 1<<32 && uint64(b+1<<31) < 1<<32 {
+		return a * b, true
 	}
 	if a == math.MinInt64 || b == math.MinInt64 {
 		// |MinInt64| is not representable; the only safe partner is 1.
@@ -73,26 +77,9 @@ type Metrics struct {
 // the SSE2 packed/scalar arithmetic category).
 func (m Metrics) FPI() int64 { return m.ByCategory[ir.CatSSEArith] }
 
-// Add accumulates other scaled by mult, returning ErrOverflow instead of
-// wrapping when any component leaves int64 range.
-func (m *Metrics) Add(other Metrics, mult int64) error {
-	saved := *m
-	for c := range m.ByCategory {
-		if !accumInto(&m.ByCategory[c], other.ByCategory[c], mult) {
-			*m = saved
-			return ErrOverflow
-		}
-	}
-	if !accumInto(&m.Flops, other.Flops, mult) || !accumInto(&m.Instrs, other.Instrs, mult) {
-		*m = saved
-		return ErrOverflow
-	}
-	return nil
-}
-
 // accumInto adds n*mult into *dst, reporting overflow instead of
-// wrapping. The one accumulation primitive shared by the tree walkers
-// and the compiled path — their overflow policies must never diverge.
+// wrapping. The one accumulation primitive of the walker and the
+// compiled pass — their overflow policies must never diverge.
 func accumInto(dst *int64, n, mult int64) bool {
 	p, ok := mulChecked(n, mult)
 	if !ok {
@@ -106,14 +93,45 @@ func accumInto(dst *int64, n, mult int64) bool {
 	return true
 }
 
-// Site is the cost of one source position.
+// metricsOf folds an evaluated opcode vector into Metrics: each count
+// into its category (Op.Cat), its flops (Op.Flops), and the instruction
+// total. The one place categories are derived from opcodes, checked like
+// every accumulation, so a total that leaves int64 is ErrOverflow.
+func metricsOf(name string, v *ir.OpVec) (Metrics, error) {
+	var m Metrics
+	for op, n := range v {
+		if n == 0 {
+			continue
+		}
+		o := ir.Op(op)
+		if !accumInto(&m.ByCategory[o.Cat()], n, 1) ||
+			!accumInto(&m.Flops, n, int64(o.Flops())) ||
+			!accumInto(&m.Instrs, n, 1) {
+			return Metrics{}, fmt.Errorf("model: %s: %w", name, ErrOverflow)
+		}
+	}
+	return m, nil
+}
+
+// opsOf returns an evaluated opcode vector's nonzero entries.
+func opsOf(v *ir.OpVec) map[ir.Op]int64 {
+	out := map[ir.Op]int64{}
+	for op, n := range v {
+		if n != 0 {
+			out[ir.Op(op)] = n
+		}
+	}
+	return out
+}
+
+// Site is the cost of one source position: the opcodes the bridge
+// attributed to it and their symbolic execution count. Ops is the only
+// count form — categories, flops and instruction totals are folds over
+// it (see metricsOf) — sorted by opcode, every count positive.
 type Site struct {
 	Line, Col int
 	Desc      string // source fragment or role, for readability
-	Counts    [ir.NumCategories]int64
-	Ops       map[ir.Op]int64 // per-opcode counts, for fine categorization
-	Flops     int64
-	Instrs    int64
+	Ops       []ir.OpN
 	Mult      expr.Expr
 }
 
@@ -191,9 +209,9 @@ func (f *Func) FreeParams() []string {
 }
 
 // roundMult converts an evaluated multiplicity to an integer count.
-// Fractional multiplicities arise from br_frac annotations; every model
-// walker must round identically — to nearest, ties up — or the per-opcode
-// view (Table II, the fine categories) silently drifts from Evaluate.
+// Fractional multiplicities arise from br_frac annotations; the walker and
+// the compiled pass must round identically — to nearest, ties up — or a
+// sweep silently drifts from Evaluate.
 // A multiplicity whose rounded value leaves int64 range is ErrOverflow
 // (it used to silently become whatever big.Int.Int64 truncates to).
 var oneHalf = rational.FromFrac(1, 2)
@@ -217,10 +235,9 @@ func roundMult(mult rational.Rat) (int64, error) {
 // name is also unbound, a nil argument deletes the parameter so the callee
 // reports it unbound, while an uncomputable expression is a hard error.
 // unresolved lists the mangled names the environment did not supply, for
-// diagnostics on callee failure. Both model walkers must build callee
-// environments through this one helper — a caller-scope binding leaking
-// through for one walker but not the other evaluates the same program in
-// two different environments.
+// diagnostics on callee failure. The compiled pass mirrors these rules
+// symbolically (compiler.inline) and defers to the walker, and so to this
+// helper, whenever a point needs the runtime fallback.
 func (c *Call) bindEnv(env expr.Env) (childEnv expr.Env, unresolved []string, err error) {
 	childEnv = make(expr.Env, len(env)+len(c.Args))
 	for k, v := range env {
@@ -258,19 +275,12 @@ func (c *Call) bindEnv(env expr.Env) (childEnv expr.Env, unresolved []string, er
 	return childEnv, unresolved, nil
 }
 
-// EvalOptions tunes evaluation.
-type EvalOptions struct {
-	// Exclusive skips callee contributions.
-	Exclusive bool
-}
-
-// maxCallDepth bounds call recursion in every evaluation path: both tree
-// walkers and the compiled model (defensive; sema rejects recursive
-// programs).
+// maxCallDepth bounds call recursion in every evaluation path: the walker
+// and the compiled model (defensive; sema rejects recursive programs).
 const maxCallDepth = 64
 
 // errCallDepth is the depth-limit error of every evaluation path — one
-// message, so the walkers and the compiled model cannot drift apart.
+// message, so the walker and the compiled model cannot drift apart.
 func errCallDepth(name string) error {
 	return fmt.Errorf("model: call depth exceeds %d at %q", maxCallDepth, name)
 }
@@ -280,84 +290,40 @@ func errCallDepth(name string) error {
 // overridden by statically derived argument bindings; unresolved arguments
 // are looked up under their mangled names.
 func (m *Model) Evaluate(name string, env expr.Env) (Metrics, error) {
-	return m.eval(name, env, EvalOptions{}, 0)
+	return m.evaluate(name, env, false)
 }
 
 // EvaluateExclusive computes body-only metrics.
 func (m *Model) EvaluateExclusive(name string, env expr.Env) (Metrics, error) {
-	return m.eval(name, env, EvalOptions{Exclusive: true}, 0)
+	return m.evaluate(name, env, true)
 }
 
-func (m *Model) eval(name string, env expr.Env, opts EvalOptions, depth int) (Metrics, error) {
-	var out Metrics
-	if depth > maxCallDepth {
-		return out, errCallDepth(name)
+func (m *Model) evaluate(name string, env expr.Env, exclusive bool) (Metrics, error) {
+	var v ir.OpVec
+	if err := m.eval(name, env, exclusive, 0, &v); err != nil {
+		return Metrics{}, err
 	}
-	f, ok := m.Funcs[name]
-	if !ok {
-		return out, fmt.Errorf("model: no function %q", name)
-	}
-	if f.Extern {
-		return out, nil // invisible to static analysis (paper Sec. IV-D1)
-	}
-	for _, s := range f.Sites {
-		mult, err := expr.Eval(s.Mult, env)
-		if err != nil {
-			return out, fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
-		}
-		mi, err := roundMult(mult)
-		if err != nil {
-			return out, fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
-		}
-		if err := out.Add(Metrics{ByCategory: s.Counts, Flops: s.Flops, Instrs: s.Instrs}, mi); err != nil {
-			return out, fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
-		}
-	}
-	if opts.Exclusive {
-		return out, nil
-	}
-	for _, call := range f.Calls {
-		mult, err := expr.Eval(call.Mult, env)
-		if err != nil {
-			return out, fmt.Errorf("model: %s call to %s at line %d: %w", name, call.Callee, call.Line, err)
-		}
-		mi, err := roundMult(mult)
-		if err != nil {
-			return out, fmt.Errorf("model: %s call to %s at line %d: %w", name, call.Callee, call.Line, err)
-		}
-		if mi == 0 {
-			continue
-		}
-		childEnv, unresolved, err := call.bindEnv(env)
-		if err != nil {
-			return out, fmt.Errorf("model: %s: %w", name, err)
-		}
-		sub, err := m.eval(call.Callee, childEnv, opts, depth+1)
-		if err != nil {
-			if len(unresolved) > 0 {
-				return out, fmt.Errorf("%w (call at line %d has statically unresolved arguments; "+
-					"bind them in the environment as %v — the paper's y_16 convention)",
-					err, call.Line, unresolved)
-			}
-			return out, err
-		}
-		if err := out.Add(sub, mi); err != nil {
-			return out, fmt.Errorf("model: %s call to %s at line %d: %w", name, call.Callee, call.Line, err)
-		}
-	}
-	return out, nil
+	return metricsOf(name, &v)
 }
 
 // EvaluateOpcodes computes inclusive per-opcode counts of function name
 // under env — the granularity the architecture description file's 64
-// categories (and Table II / Fig. 6) consume.
+// categories (and Table II / Fig. 6) consume. The map holds the nonzero
+// counts only.
 func (m *Model) EvaluateOpcodes(name string, env expr.Env) (map[ir.Op]int64, error) {
-	out := map[ir.Op]int64{}
-	err := m.evalOpcodes(name, env, 0, out)
-	return out, err
+	var v ir.OpVec
+	if err := m.eval(name, env, false, 0, &v); err != nil {
+		return nil, err
+	}
+	return opsOf(&v), nil
 }
 
-func (m *Model) evalOpcodes(name string, env expr.Env, depth int, acc map[ir.Op]int64) error {
+// eval is the model's one recursive evaluation: it adds function name's
+// per-opcode counts under env into acc — body only when exclusive. Each
+// call's callee is evaluated into its own vector and scaled by the
+// call's rounded multiplicity, so every level rounds and checks exactly
+// as the compiled pass's chains do.
+func (m *Model) eval(name string, env expr.Env, exclusive bool, depth int, acc *ir.OpVec) error {
 	if depth > maxCallDepth {
 		return errCallDepth(name)
 	}
@@ -366,7 +332,7 @@ func (m *Model) evalOpcodes(name string, env expr.Env, depth int, acc map[ir.Op]
 		return fmt.Errorf("model: no function %q", name)
 	}
 	if f.Extern {
-		return nil
+		return nil // invisible to static analysis (paper Sec. IV-D1)
 	}
 	for _, s := range f.Sites {
 		mult, err := expr.Eval(s.Mult, env)
@@ -377,11 +343,14 @@ func (m *Model) evalOpcodes(name string, env expr.Env, depth int, acc map[ir.Op]
 		if err != nil {
 			return fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
 		}
-		for op, n := range s.Ops {
-			if err := accumOp(acc, op, n, mi); err != nil {
-				return fmt.Errorf("model: %s line %d: %w", name, s.Line, err)
+		for _, o := range s.Ops {
+			if !accumInto(&acc[o.Op], o.N, mi) {
+				return fmt.Errorf("model: %s line %d: %w", name, s.Line, ErrOverflow)
 			}
 		}
+	}
+	if exclusive {
+		return nil
 	}
 	for _, call := range f.Calls {
 		mult, err := expr.Eval(call.Mult, env)
@@ -399,8 +368,8 @@ func (m *Model) evalOpcodes(name string, env expr.Env, depth int, acc map[ir.Op]
 		if err != nil {
 			return fmt.Errorf("model: %s: %w", name, err)
 		}
-		sub := map[ir.Op]int64{}
-		if err := m.evalOpcodes(call.Callee, childEnv, depth+1, sub); err != nil {
+		var sub ir.OpVec
+		if err := m.eval(call.Callee, childEnv, false, depth+1, &sub); err != nil {
 			if len(unresolved) > 0 {
 				return fmt.Errorf("%w (call at line %d has statically unresolved arguments; "+
 					"bind them in the environment as %v — the paper's y_16 convention)",
@@ -409,32 +378,11 @@ func (m *Model) evalOpcodes(name string, env expr.Env, depth int, acc map[ir.Op]
 			return err
 		}
 		for op, n := range sub {
-			if err := accumOp(acc, op, n, mi); err != nil {
-				return fmt.Errorf("model: %s call to %s at line %d: %w", name, call.Callee, call.Line, err)
+			if n != 0 && !accumInto(&acc[op], n, mi) {
+				return fmt.Errorf("model: %s call to %s at line %d: %w", name, call.Callee, call.Line, ErrOverflow)
 			}
 		}
 	}
-	return nil
-}
-
-// accumOp adds n*mult into acc[op] with overflow checks. A zero
-// contribution is a no-op: it must not materialize a zero-valued key,
-// which would leak "category: 0" rows into the bucketed views and make
-// the map's key set depend on which multiplicities happened to round to
-// zero.
-func accumOp(acc map[ir.Op]int64, op ir.Op, n, mult int64) error {
-	p, ok := mulChecked(n, mult)
-	if !ok {
-		return ErrOverflow
-	}
-	if p == 0 {
-		return nil
-	}
-	s, ok := addChecked(acc[op], p)
-	if !ok {
-		return ErrOverflow
-	}
-	acc[op] = s
 	return nil
 }
 

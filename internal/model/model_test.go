@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"math"
+	"math/big"
 	"sort"
 	"strings"
 	"testing"
@@ -23,9 +24,7 @@ func buildModel() *Model {
 		Sites: []*Site{
 			{
 				Line: 2, Col: 1, Desc: "s = s + 1.0",
-				Counts: catVec(ir.CatSSEArith, 1),
-				Ops:    map[ir.Op]int64{ir.ADDSD: 1},
-				Flops:  1, Instrs: 1,
+				Ops:  []ir.OpN{{Op: ir.ADDSD, N: 1}},
 				Mult: expr.P("m"),
 			},
 		},
@@ -36,10 +35,8 @@ func buildModel() *Model {
 		Sites: []*Site{
 			{
 				Line: 10, Col: 1, Desc: "prologue",
-				Counts: catVec(ir.CatIntData, 2),
-				Ops:    map[ir.Op]int64{ir.PUSH: 1, ir.POP: 1},
-				Instrs: 2,
-				Mult:   expr.Const(1),
+				Ops:  []ir.OpN{{Op: ir.PUSH, N: 1}, {Op: ir.POP, N: 1}},
+				Mult: expr.Const(1),
 			},
 		},
 		Calls: []*Call{
@@ -139,32 +136,92 @@ func TestFreeParams(t *testing.T) {
 	}
 }
 
-func TestMetricsAdd(t *testing.T) {
-	var a Metrics
-	b := Metrics{Flops: 2, Instrs: 5}
-	b.ByCategory[ir.CatSSEArith] = 3
-	if err := a.Add(b, 4); err != nil {
-		t.Fatalf("Add: %v", err)
+// TestMetricsFold pins the one derivation of Metrics from an opcode
+// vector: categories by Op.Cat, flops by Op.Flops, instructions by sum.
+func TestMetricsFold(t *testing.T) {
+	var v ir.OpVec
+	v[ir.ADDSD] = 3
+	v[ir.ADDPD] = 2 // packed: two flops each
+	v[ir.PUSH] = 5
+	m, err := metricsOf("f", &v)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Flops != 8 || a.Instrs != 20 || a.FPI() != 12 {
-		t.Errorf("a = %+v", a)
+	want := Metrics{Flops: 3 + 2*2, Instrs: 10}
+	want.ByCategory[ir.CatSSEArith] = 5
+	want.ByCategory[ir.CatIntData] = 5
+	if m != want {
+		t.Errorf("fold = %+v, want %+v", m, want)
 	}
 }
 
-func TestMetricsAddOverflow(t *testing.T) {
-	var a Metrics
-	b := Metrics{Instrs: 3}
-	// 3 * (MaxInt64/2) overflows in the multiply.
-	if err := a.Add(b, math.MaxInt64/2); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("Add overflow err = %v, want ErrOverflow", err)
+// TestMetricsFoldOverflow: opcode counts that each fit but whose
+// category, flop or instruction total leaves int64 are ErrOverflow.
+func TestMetricsFoldOverflow(t *testing.T) {
+	for name, set := range map[string]func(*ir.OpVec){
+		"category":    func(v *ir.OpVec) { v[ir.ADDSD], v[ir.MULSD] = math.MaxInt64, 1 },
+		"flops":       func(v *ir.OpVec) { v[ir.ADDPD] = math.MaxInt64/2 + 1 },
+		"instrs":      func(v *ir.OpVec) { v[ir.ADDSD], v[ir.PUSH] = math.MaxInt64, 1 },
+		"negative":    func(v *ir.OpVec) { v[ir.ADDSD], v[ir.MULSD] = math.MinInt64, -1 },
+		"accumulated": func(v *ir.OpVec) { v[ir.PUSH], v[ir.POP], v[ir.MOVRR] = math.MaxInt64/2, math.MaxInt64/2, 2 },
+	} {
+		var v ir.OpVec
+		set(&v)
+		if _, err := metricsOf("f", &v); !errors.Is(err, ErrOverflow) {
+			t.Errorf("%s: fold err = %v, want ErrOverflow", name, err)
+		}
 	}
-	if a.Instrs != 0 {
-		t.Errorf("failed Add mutated the receiver: %+v", a)
+}
+
+// TestNegativeMultiplicityOverflowAgreement pins the case where the
+// former twin walkers disagreed: with a negative multiplicity, the ADDSD
+// total leaves int64 while every running SSE-arithmetic category sum
+// stays in range, so the category walker succeeded where the opcode
+// walker reported ErrOverflow. One vector, one answer: every view fails.
+func TestNegativeMultiplicityOverflowAgreement(t *testing.T) {
+	site := func(line int, op ir.Op, mult int64) *Site {
+		return &Site{Line: line, Ops: []ir.OpN{{Op: op, N: 1}}, Mult: expr.NewMul(expr.Const(mult), expr.P("n"))}
 	}
-	// Accumulation overflow: two adds that each fit but whose sum wraps.
-	a = Metrics{Instrs: math.MaxInt64 - 1}
-	if err := a.Add(Metrics{Instrs: 2}, 1); !errors.Is(err, ErrOverflow) {
-		t.Fatalf("accumulate overflow err = %v, want ErrOverflow", err)
+	f := &Func{Name: "f", Params: []string{"n"}, Sites: []*Site{
+		site(1, ir.ADDSD, math.MaxInt64), // ADDSD = category = MaxInt64
+		site(2, ir.MULSD, -1),            // category MaxInt64-1
+		site(3, ir.ADDSD, 1),             // category MaxInt64; ADDSD overflows
+	}}
+	m := &Model{Order: []string{"f"}, Funcs: map[string]*Func{"f": f}}
+	env := expr.EnvFromInts(map[string]int64{"n": 1})
+	cm, err := m.Compile("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, errEval := m.Evaluate("f", env)
+	_, errExcl := m.EvaluateExclusive("f", env)
+	_, errOps := m.EvaluateOpcodes("f", env)
+	_, errCEval := cm.Eval(env)
+	_, errCOps := cm.EvalOps(env)
+	for path, err := range map[string]error{
+		"Evaluate": errEval, "EvaluateExclusive": errExcl, "EvaluateOpcodes": errOps,
+		"CompiledModel.Eval": errCEval, "CompiledModel.EvalOps": errCOps,
+	} {
+		if !errors.Is(err, ErrOverflow) {
+			t.Errorf("%s: err = %v, want ErrOverflow", path, err)
+		}
+	}
+	evalBoth(t, m, "f", env)
+}
+
+// TestMulCheckedBoundaries pins mulChecked around its 32-bit fast path
+// and the int64 limits against exact big-integer products.
+func TestMulCheckedBoundaries(t *testing.T) {
+	vals := []int64{0, 1, -1, 2, -2, 3, 1<<31 - 1, 1 << 31, -1 << 31, -1<<31 - 1, 1<<32 + 5,
+		math.MaxInt64 / 3, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for _, a := range vals {
+		for _, b := range vals {
+			want := new(big.Int).Mul(big.NewInt(a), big.NewInt(b))
+			got, ok := mulChecked(a, b)
+			if fits := want.IsInt64(); ok != fits || (ok && got != want.Int64()) {
+				t.Errorf("mulChecked(%d, %d) = %d, %t; want %s, %t", a, b, got, ok, want, fits)
+			}
+		}
 	}
 }
 
@@ -269,9 +326,7 @@ func fracModel() *Model {
 		Sites: []*Site{
 			{
 				Line: 2, Col: 1, Desc: "body",
-				Counts: catVec(ir.CatSSEArith, 1),
-				Ops:    map[ir.Op]int64{ir.ADDSD: 1},
-				Flops:  1, Instrs: 1,
+				Ops:  []ir.OpN{{Op: ir.ADDSD, N: 1}},
 				Mult: expr.Const(7),
 			},
 		},
@@ -282,9 +337,7 @@ func fracModel() *Model {
 		Sites: []*Site{
 			{
 				Line: 10, Col: 1, Desc: "guarded",
-				Counts: catVec(ir.CatSSEArith, 1),
-				Ops:    map[ir.Op]int64{ir.MULSD: 1},
-				Flops:  1, Instrs: 1,
+				Ops: []ir.OpN{{Op: ir.MULSD, N: 1}},
 				// n/4 executions: fractional for n not divisible by 4.
 				Mult: expr.NewMul(expr.ConstRat(rational.FromFrac(1, 4)), expr.P("n")),
 			},
@@ -356,9 +409,7 @@ func bindModel() *Model {
 		Sites: []*Site{
 			{
 				Line: 2, Col: 1, Desc: "body",
-				Counts: catVec(ir.CatSSEArith, 1),
-				Ops:    map[ir.Op]int64{ir.ADDSD: 1},
-				Flops:  1, Instrs: 1,
+				Ops:  []ir.OpN{{Op: ir.ADDSD, N: 1}},
 				Mult: expr.P("m"),
 			},
 		},
@@ -426,8 +477,7 @@ func TestCallDepthErrorAgreement(t *testing.T) {
 	name := func(i int) string { return "f" + strings.Repeat("x", i) }
 	for i := 0; i <= maxCallDepth+1; i++ {
 		f := &Func{Name: name(i), Sites: []*Site{{
-			Line: 1, Counts: catVec(ir.CatSSEArith, 1),
-			Ops: map[ir.Op]int64{ir.ADDSD: 1}, Flops: 1, Instrs: 1, Mult: expr.Const(1),
+			Line: 1, Ops: []ir.OpN{{Op: ir.ADDSD, N: 1}}, Mult: expr.Const(1),
 		}}}
 		if i <= maxCallDepth {
 			f.Calls = []*Call{{Callee: name(i + 1), Line: 2, Mult: expr.Const(1)}}

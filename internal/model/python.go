@@ -80,17 +80,23 @@ func (m *Model) emitPyFunc(b *strings.Builder, f *Func) {
 	fmt.Fprintf(b, "def %s(%s):\n", PyFuncName(f), strings.Join(pyParams(f), ", "))
 	fmt.Fprintf(b, "    metrics = {}\n")
 	for _, s := range f.Sites {
-		if s.Instrs == 0 {
+		if len(s.Ops) == 0 {
 			continue
 		}
 		fmt.Fprintf(b, "    # line %d:%d  %s\n", s.Line, s.Col, s.Desc)
 		fmt.Fprintf(b, "    _n = %s\n", expr.Python(s.Mult))
-		for c := 0; c < int(ir.NumCategories); c++ {
-			if s.Counts[c] == 0 {
+		// In range: a site's counts are positive with an int64 total
+		// (the bridge counts instructions; the decoder enforces it).
+		var cats [ir.NumCategories]int64
+		for _, o := range s.Ops {
+			cats[o.Op.Cat()] += o.N
+		}
+		for c, n := range cats {
+			if n == 0 {
 				continue
 			}
 			fmt.Fprintf(b, "    metrics[%q] = metrics.get(%q, 0) + %d * _n\n",
-				ir.Category(c).String(), ir.Category(c).String(), s.Counts[c])
+				ir.Category(c).String(), ir.Category(c).String(), n)
 		}
 	}
 	for _, c := range f.Calls {

@@ -1,20 +1,25 @@
 package synth_test
 
 import (
+	"maps"
 	"testing"
 
 	"mira/internal/core"
 	"mira/internal/expr"
+	"mira/internal/ir"
+	"mira/internal/model"
 	"mira/internal/synth"
 	"mira/internal/vm"
 )
 
 // FuzzThreeWayEvaluators generates a synthetic program from a fuzzed
 // Table I-style profile and checks that the three evaluators agree
-// exactly on every function: the model tree walker, the compiled model
+// exactly on every function: the model walker, the compiled model
 // (closed-form sweep engine), and the VM actually executing the
-// program. The walker/compiled pair must agree on full Metrics; the VM
-// pins both to ground truth on inclusive instruction and FPI counts.
+// program. The walker/compiled pair must agree on every view — full
+// Metrics, per-opcode counts, and the exclusive (body-only) Metrics —
+// and the opcode view must fold to the same Metrics; the VM pins them
+// to ground truth on inclusive instruction and FPI counts.
 // This is the reconciliation invariant the PR 4 overflow and
 // rounding-order bugs violated, run continuously over generated
 // programs instead of the fixed benchprogs set (ROADMAP open item 3).
@@ -67,6 +72,31 @@ func FuzzThreeWayEvaluators(f *testing.F) {
 			if met != cmet {
 				t.Errorf("%s: walker %+v != compiled %+v", fn, met, cmet)
 			}
+			ops, err := p.Model.EvaluateOpcodes(fn, env)
+			if err != nil {
+				t.Fatalf("%s: walker opcodes: %v", fn, err)
+			}
+			cops, err := cm.EvalOps(env)
+			if err != nil {
+				t.Fatalf("%s: compiled opcodes: %v", fn, err)
+			}
+			if !maps.Equal(ops, cops) {
+				t.Errorf("%s: walker opcodes %v != compiled %v", fn, ops, cops)
+			}
+			if folded := foldOps(ops); folded != met {
+				t.Errorf("%s: folded opcodes %+v != walker metrics %+v", fn, folded, met)
+			}
+			excl, err := p.Model.EvaluateExclusive(fn, env)
+			if err != nil {
+				t.Fatalf("%s: exclusive walker: %v", fn, err)
+			}
+			cmx, err := p.Model.CompileExclusive(fn)
+			if err != nil {
+				t.Fatalf("%s: exclusive compile: %v", fn, err)
+			}
+			if cexcl, err := cmx.Eval(env); err != nil || cexcl != excl {
+				t.Errorf("%s: exclusive walker %+v != compiled %+v (err %v)", fn, excl, cexcl, err)
+			}
 
 			// Ground truth: actually run the function. A fresh machine
 			// per function keeps inclusive stats unpolluted.
@@ -86,4 +116,17 @@ func FuzzThreeWayEvaluators(f *testing.F) {
 			}
 		}
 	})
+}
+
+// foldOps derives Metrics from per-opcode counts independently of the
+// model package: category by Op.Cat, flops by Op.Flops, one instruction
+// per count.
+func foldOps(ops map[ir.Op]int64) model.Metrics {
+	var m model.Metrics
+	for op, n := range ops {
+		m.ByCategory[op.Cat()] += n
+		m.Flops += n * int64(op.Flops())
+		m.Instrs += n
+	}
+	return m
 }

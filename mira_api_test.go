@@ -19,22 +19,26 @@ double scale(double *x, int n, double a) {
 	return x[0];
 }`
 
+// runOne evaluates one query cell, failing the test on its error.
+func runOne(t *testing.T, res *mira.Result, fn string, env mira.Env, kind mira.QueryKind) mira.QueryResult {
+	t.Helper()
+	r := res.RunOne(context.Background(), mira.Query{Fn: fn, Env: env, Kind: kind})
+	if r.Err != nil {
+		t.Fatalf("%s %s: %v", kind, fn, r.Err)
+	}
+	return r
+}
+
 func TestPublicAPIRoundTrip(t *testing.T) {
 	res, err := mira.Analyze("s.c", apiSrc, mira.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	met, err := res.Static("scale", mira.IntArgs(map[string]int64{"n": 1000}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	met := runOne(t, res, "scale", mira.IntArgs(map[string]int64{"n": 1000}), mira.KindStatic).Metrics
 	if met.FPI() != 1000 {
 		t.Errorf("FPI = %d", met.FPI())
 	}
-	excl, err := res.StaticExclusive("scale", mira.IntArgs(map[string]int64{"n": 1000}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	excl := runOne(t, res, "scale", mira.IntArgs(map[string]int64{"n": 1000}), mira.KindStaticExclusive).Metrics
 	if excl.FPI() != met.FPI() {
 		t.Errorf("leaf function: exclusive %d != inclusive %d", excl.FPI(), met.FPI())
 	}
@@ -59,17 +63,11 @@ func TestPublicAPICategoriesAndArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := mira.IntArgs(map[string]int64{"n": 8})
-	cats, err := res.CategoryCounts("scale", env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cats := runOne(t, res, "scale", env, mira.KindCategories).Categories
 	if cats["SSE2 packed arithmetic instruction"] != 8 {
 		t.Errorf("cats = %v", cats)
 	}
-	fine, err := res.FineCategoryCounts("scale", env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fine := runOne(t, res, "scale", env, mira.KindFineCategories).Categories
 	if fine["System: 64-bit mode (movsxd)"] == 0 {
 		t.Errorf("fine = %v", fine)
 	}
@@ -115,20 +113,11 @@ func TestPublicAPIEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wmet, err := want.Static("scale", env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wmet := runOne(t, want, "scale", env, mira.KindStatic).Metrics
 	for _, r := range results[:2] {
-		met, err := r.Result.Static("scale", env)
-		if err != nil {
-			t.Fatal(err)
-		}
+		met := runOne(t, r.Result, "scale", env, mira.KindStatic).Metrics
 		// Second identical query per Result hits the memo.
-		again, err := r.Result.Static("scale", env)
-		if err != nil {
-			t.Fatal(err)
-		}
+		again := runOne(t, r.Result, "scale", env, mira.KindStatic).Metrics
 		if met.FPI() != wmet.FPI() || again.FPI() != wmet.FPI() {
 			t.Errorf("engine metrics diverge from direct analysis: %d/%d vs %d",
 				met.FPI(), again.FPI(), wmet.FPI())
@@ -168,12 +157,8 @@ double f(double *x, int n) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := res.Static("f", mira.IntArgs(map[string]int64{"n": 4}))
-	_ = a
-	m0, err := resO0.Static("scale", mira.IntArgs(map[string]int64{"n": 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_ = res.RunOne(context.Background(), mira.Query{Fn: "f", Env: mira.IntArgs(map[string]int64{"n": 4}), Kind: mira.KindStatic})
+	m0 := runOne(t, resO0, "scale", mira.IntArgs(map[string]int64{"n": 4}), mira.KindStatic).Metrics
 	if m0.FPI() != 4 {
 		t.Errorf("unoptimized FPI = %d", m0.FPI())
 	}
@@ -204,11 +189,8 @@ func TestPublicAPISweep(t *testing.T) {
 		if p.Err != nil {
 			t.Fatalf("n=%d: %v", n, p.Err)
 		}
-		want, err := res.Static("scale", mira.IntArgs(map[string]int64{"n": n}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *p.Metrics != want {
+		want := runOne(t, res, "scale", mira.IntArgs(map[string]int64{"n": n}), mira.KindStatic).Metrics
+		if *p.Metrics != *want {
 			t.Errorf("n=%d: sweep %+v != Static %+v", n, *p.Metrics, want)
 		}
 	}
@@ -224,11 +206,8 @@ func TestPublicAPISweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := res.Static("scale", mira.IntArgs(map[string]int64{"n": 77}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met != want {
+	want := runOne(t, res, "scale", mira.IntArgs(map[string]int64{"n": 77}), mira.KindStatic).Metrics
+	if met != *want {
 		t.Errorf("compiled %+v != Static %+v", met, want)
 	}
 	if ps := cm.Params(); len(ps) != 1 || ps[0] != "n" {

@@ -43,15 +43,16 @@ func errString(err error) string {
 }
 
 // TestRunGoldenEquivalence proves the batched query API byte-equals the
-// legacy per-method calls — values and errors both — for every modeled
-// function of every benchprogs program.
+// uncached pipeline evaluations beneath it — values and errors both —
+// for every modeled function of every benchprogs program.
 func TestRunGoldenEquivalence(t *testing.T) {
 	for name, src := range goldenPrograms {
 		res, err := mira.Analyze(name+".c", src, mira.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		model := res.Pipeline().Model
+		p := res.Pipeline()
+		model := p.Model
 		for _, fn := range model.Order {
 			f := model.Funcs[fn]
 			if f.Extern {
@@ -65,10 +66,10 @@ func TestRunGoldenEquivalence(t *testing.T) {
 			}
 			env := mira.IntArgs(args)
 
-			legacyMet, legacyMetErr := res.Static(fn, env)
-			legacyExcl, legacyExclErr := res.StaticExclusive(fn, env)
-			legacyCats, legacyCatsErr := res.CategoryCounts(fn, env)
-			legacyFine, legacyFineErr := res.FineCategoryCounts(fn, env)
+			directMet, directMetErr := p.StaticMetrics(fn, env)
+			directExcl, directExclErr := p.StaticMetricsExclusive(fn, env)
+			directCats, directCatsErr := p.TableIICounts(fn, env)
+			directFine, directFineErr := p.FineCategoryCounts(fn, env)
 
 			batch := res.Run(context.Background(), []mira.Query{
 				{Fn: fn, Env: env, Kind: mira.KindStatic},
@@ -78,29 +79,29 @@ func TestRunGoldenEquivalence(t *testing.T) {
 			})
 
 			type cell struct {
-				legacy    any
-				legacyErr error
+				direct    any
+				directErr error
 				batched   any
 				batchErr  error
 			}
 			cells := map[string]cell{
-				"static":           {legacyMet, legacyMetErr, batch[0].Metrics, batch[0].Err},
-				"static_exclusive": {legacyExcl, legacyExclErr, batch[1].Metrics, batch[1].Err},
-				"categories":       {legacyCats, legacyCatsErr, batch[2].Categories, batch[2].Err},
-				"fine_categories":  {legacyFine, legacyFineErr, batch[3].Categories, batch[3].Err},
+				"static":           {directMet, directMetErr, batch[0].Metrics, batch[0].Err},
+				"static_exclusive": {directExcl, directExclErr, batch[1].Metrics, batch[1].Err},
+				"categories":       {directCats, directCatsErr, batch[2].Categories, batch[2].Err},
+				"fine_categories":  {directFine, directFineErr, batch[3].Categories, batch[3].Err},
 			}
 			for kind, c := range cells {
-				if errString(c.legacyErr) != errString(c.batchErr) {
-					t.Errorf("%s/%s %s: error mismatch: legacy=%q batched=%q",
-						name, fn, kind, errString(c.legacyErr), errString(c.batchErr))
+				if errString(c.directErr) != errString(c.batchErr) {
+					t.Errorf("%s/%s %s: error mismatch: direct=%q batched=%q",
+						name, fn, kind, errString(c.directErr), errString(c.batchErr))
 					continue
 				}
-				if c.legacyErr != nil {
+				if c.directErr != nil {
 					continue
 				}
-				if lb, bb := mustJSON(t, c.legacy), mustJSON(t, c.batched); !bytes.Equal(lb, bb) {
-					t.Errorf("%s/%s %s: batched result diverges:\nlegacy:  %s\nbatched: %s",
-						name, fn, kind, lb, bb)
+				if db, bb := mustJSON(t, c.direct), mustJSON(t, c.batched); !bytes.Equal(db, bb) {
+					t.Errorf("%s/%s %s: batched result diverges:\ndirect:  %s\nbatched: %s",
+						name, fn, kind, db, bb)
 				}
 			}
 		}

@@ -2,7 +2,6 @@ package mira
 
 import (
 	"context"
-	"fmt"
 
 	"mira/internal/engine"
 	"mira/internal/pbound"
@@ -15,8 +14,7 @@ import (
 // whole matrix of them in one pass with shared (function, env)
 // memoization and per-query errors; [Engine.RunAll] does the same across
 // many programs at once through the engine's worker pool and content-
-// hash cache. The legacy per-metric helpers (Static, CategoryCounts, …)
-// are thin wrappers over this core.
+// hash cache.
 
 // QueryKind selects what a Query evaluates.
 type QueryKind = engine.QueryKind
@@ -25,15 +23,14 @@ type QueryKind = engine.QueryKind
 // roofline assessment and the PBound source-only baseline — previously
 // internal-only — to the public surface.
 const (
-	// KindStatic evaluates fn's inclusive static metrics (Static).
+	// KindStatic evaluates fn's inclusive static metrics.
 	KindStatic = engine.KindStatic
-	// KindStaticExclusive evaluates body-only metrics (StaticExclusive).
+	// KindStaticExclusive evaluates body-only metrics.
 	KindStaticExclusive = engine.KindStaticExclusive
-	// KindCategories buckets counts into the paper's Table II rows
-	// (CategoryCounts).
+	// KindCategories buckets counts into the paper's Table II rows.
 	KindCategories = engine.KindCategories
 	// KindFineCategories buckets counts into the architecture
-	// description's fine-grained categories (FineCategoryCounts).
+	// description's fine-grained categories.
 	KindFineCategories = engine.KindFineCategories
 	// KindRoofline computes arithmetic intensity and the roofline
 	// attainable-performance bound.
@@ -71,6 +68,11 @@ func (r *Result) Run(ctx context.Context, queries []Query) []QueryResult {
 	return r.a.Run(ctx, queries)
 }
 
+// RunOne evaluates a single query cell — a one-element [Result.Run].
+func (r *Result) RunOne(ctx context.Context, q Query) QueryResult {
+	return r.a.RunOne(ctx, q)
+}
+
 // Roofline computes fn's roofline assessment on the Result's
 // architecture description — the batched KindRoofline query, unbatched.
 func (r *Result) Roofline(fn string, env Env) (*Roofline, error) {
@@ -106,14 +108,3 @@ func (e *Engine) RunAll(ctx context.Context, jobs []QueryJob) []QueryJobResult {
 // QueryJob (or a mira-serve client) can use to reference an analyzed
 // program without resending its text.
 func (e *Engine) Key(source string) string { return e.e.Key(source) }
-
-// onlyMetrics unwraps a metrics-kind result for the legacy helpers.
-func onlyMetrics(res QueryResult) (Metrics, error) {
-	if res.Err != nil {
-		return Metrics{}, res.Err
-	}
-	if res.Metrics == nil {
-		return Metrics{}, fmt.Errorf("mira: query kind %s carries no metrics", res.Query.Kind)
-	}
-	return *res.Metrics, nil
-}
