@@ -37,16 +37,20 @@ govulncheck:
 
 # fuzz-smoke runs each native fuzz target for a bounded slice: the
 # three-way evaluator divergence fuzzer (walker vs compiled model vs VM
-# over synthesized programs), and the model codec, object file and
+# over synthesized programs), the model codec, object file and
 # compiled-unit decoders on arbitrary bytes (no panic, bounded
-# allocation, stable round trip). CI runs it on every push, so all of them stay
-# continuously fuzzed. go test fuzzes one target per invocation.
+# allocation, stable round trip), and the whole cold pipeline on
+# arbitrary source seeded with the benchmark programs (no panic, a
+# per-input time budget, identical model and warnings on a second run).
+# CI runs it on every push, so all of them stay continuously fuzzed.
+# go test fuzzes one target per invocation.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzThreeWayEvaluators -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run xxx -fuzz '^FuzzDecodeFunc$$' -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run xxx -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/objfile
 	$(GO) test -run xxx -fuzz '^FuzzDecodeUnit$$' -fuzztime $(FUZZTIME) ./internal/cc
+	$(GO) test -run xxx -fuzz '^FuzzAnalyze$$' -fuzztime $(FUZZTIME) ./internal/core
 
 build:
 	$(GO) build ./...
@@ -61,14 +65,15 @@ bench:
 	$(GO) test -bench . -benchtime 1x ./
 
 # bench-baseline records the performance trajectory: the sweep
-# (compiled-vs-treewalk), cache (cold-vs-warm), incremental-edit, and
-# report-path (suite -> engine sweeps -> typed report -> JSON)
-# benchmarks as a test2json event stream. -benchtime 5x keeps each
-# sample cheap while giving -compare a median to stand on. CI compares
-# a fresh run against the committed previous baseline (gating, see
-# bench-compare) and uploads the file as an artifact.
-BENCH_BASELINE_OUT ?= BENCH_8.json
-BENCH_SET = BenchmarkSweep_CompiledVsTreeWalk|BenchmarkSweep_CompileOnce|BenchmarkEngineEval_ColdVsWarm|BenchmarkReport_SuitePath|BenchmarkIncrementalEdit|BenchmarkCrossArchSweep|BenchmarkCluster_
+# (compiled-vs-treewalk), cache (cold-vs-warm), incremental-edit,
+# report-path (suite -> engine sweeps -> typed report -> JSON) and
+# cold-analysis (core.Analyze of miniFE and a Table I synthetic, with
+# allocs/op) benchmarks as a test2json event stream. -benchtime 5x
+# keeps each sample cheap while giving -compare a median to stand on.
+# CI compares a fresh run against the committed previous baseline
+# (gating, see bench-compare) and uploads the file as an artifact.
+BENCH_BASELINE_OUT ?= BENCH_9.json
+BENCH_SET = BenchmarkColdAnalyze|BenchmarkSweep_CompiledVsTreeWalk|BenchmarkSweep_CompileOnce|BenchmarkEngineEval_ColdVsWarm|BenchmarkReport_SuitePath|BenchmarkIncrementalEdit|BenchmarkCrossArchSweep|BenchmarkCluster_
 bench-baseline:
 	$(GO) test -json -run xxx -benchtime 5x \
 		-bench '$(BENCH_SET)' \
@@ -80,7 +85,7 @@ bench-baseline:
 # the committed previous one, host-normalized (the two may come from
 # different machines), failing on >15% relative slowdowns in benchmarks
 # above the 100µs noise floor.
-BENCH_COMPARE_OLD ?= BENCH_8.json
+BENCH_COMPARE_OLD ?= BENCH_9.json
 bench-compare:
 	$(GO) test -json -run xxx -benchtime 5x \
 		-bench '$(BENCH_SET)' \

@@ -19,10 +19,12 @@ import (
 	"mira"
 	"mira/internal/arch"
 	"mira/internal/benchprogs"
+	"mira/internal/core"
 	"mira/internal/engine"
 	"mira/internal/experiments"
 	"mira/internal/expr"
 	"mira/internal/report"
+	"mira/internal/synth"
 )
 
 // printOnce keys the regenerated artifacts so each prints exactly once
@@ -597,6 +599,32 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 		}
 		b.ReportMetric(speedup, "speedup-x")
 	})
+}
+
+// BenchmarkColdAnalyze is the cold pipeline's stage benchmark: one
+// core.Analyze (parse, sema, function keys, compile, object round trip,
+// metrics.Generate) of miniFE and of the Table I applu synthetic at its
+// full profile, with nothing cached. Allocations are reported because
+// much of the cold path's cost is allocation; they do not depend on the
+// host, so a change in them is a change in the code.
+func BenchmarkColdAnalyze(b *testing.B) {
+	applu, err := synth.Generate(synth.TableIProfiles[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, prog := range []struct{ name, src string }{
+		{"minife", benchprogs.MiniFE},
+		{"synth_applu", applu},
+	} {
+		b.Run(prog.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Analyze(prog.name+".c", prog.src, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkPublicEngineAPI exercises the mira.Engine wrapper the way an

@@ -173,12 +173,17 @@ func (d *Description) ContentKey() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// genericKey is Generic().ContentKey(), computed once: KeyOf(nil) is on
+// every analysis's path, and the key of a fixed description never
+// changes.
+var genericKey = Generic().ContentKey()
+
 // KeyOf is ContentKey tolerating nil: analysis layers treat a nil
 // description as Generic (see core.Options), and their cache keys must
 // agree with that default.
 func KeyOf(d *Description) string {
 	if d == nil {
-		d = Generic()
+		return genericKey
 	}
 	return d.ContentKey()
 }

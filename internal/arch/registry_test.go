@@ -66,6 +66,17 @@ func TestContentKeyTracksParameters(t *testing.T) {
 	}
 }
 
+// TestKeyOfNilIsGeneric pins the precomputed default key: a nil
+// description keys as Generic, whose key must track its parameters.
+func TestKeyOfNilIsGeneric(t *testing.T) {
+	if got, want := KeyOf(nil), Generic().ContentKey(); got != want {
+		t.Errorf("KeyOf(nil) = %s, want Generic().ContentKey() = %s", got, want)
+	}
+	if d := Arya(); KeyOf(d) != d.ContentKey() {
+		t.Errorf("KeyOf(arya) = %s, want its ContentKey %s", KeyOf(d), d.ContentKey())
+	}
+}
+
 func TestRegistryAliases(t *testing.T) {
 	r := NewRegistry()
 	for name, want := range map[string]string{

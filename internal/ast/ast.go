@@ -10,7 +10,8 @@
 package ast
 
 import (
-	"fmt"
+	"bytes"
+	"strconv"
 	"strings"
 
 	"mira/internal/token"
@@ -577,55 +578,75 @@ func (f *File) LookupClass(name string) *ClassDecl {
 }
 
 // ExprString renders an expression as compact source text, used in
-// diagnostics and in the generated model's comments.
-func ExprString(e Expr) string {
+// diagnostics, in the generated model's comments, and as the compiler's
+// structural key for common subexpressions.
+func ExprString(e Expr) string { return string(appendExpr(make([]byte, 0, 64), e)) }
+
+// appendExpr appends the ExprString rendering of e to dst.
+func appendExpr(dst []byte, e Expr) []byte {
 	switch x := e.(type) {
 	case nil:
-		return ""
+		return dst
 	case *Ident:
-		return x.Name
+		return append(dst, x.Name...)
 	case *IntLit:
-		return fmt.Sprintf("%d", x.Value)
+		return strconv.AppendInt(dst, x.Value, 10)
 	case *FloatLit:
 		// Keep float literals textually distinct from equal-valued integer
 		// literals: ExprString doubles as a structural key (e.g. the
 		// compiler's LICM cache), where "2" and "2.0" must not collide.
-		s := fmt.Sprintf("%g", x.Value)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
+		n := len(dst)
+		dst = strconv.AppendFloat(dst, x.Value, 'g', -1, 64)
+		if bytes.IndexAny(dst[n:], ".eE") < 0 {
+			dst = append(dst, ".0"...)
 		}
-		return s
+		return dst
 	case *BoolLit:
-		return fmt.Sprintf("%t", x.Value)
+		return strconv.AppendBool(dst, x.Value)
 	case *StringLit:
-		return fmt.Sprintf("%q", x.Value)
+		return strconv.AppendQuote(dst, x.Value)
 	case *BinaryExpr:
-		return fmt.Sprintf("%s %s %s", ExprString(x.X), x.Op, ExprString(x.Y))
+		return appendInfix(dst, x.X, x.Op, x.Y)
 	case *UnaryExpr:
 		if x.Postfix {
-			return ExprString(x.X) + x.Op.String()
+			return append(appendExpr(dst, x.X), x.Op.String()...)
 		}
-		return x.Op.String() + ExprString(x.X)
+		return appendExpr(append(dst, x.Op.String()...), x.X)
 	case *AssignExpr:
-		return fmt.Sprintf("%s %s %s", ExprString(x.LHS), x.Op, ExprString(x.RHS))
+		return appendInfix(dst, x.LHS, x.Op, x.RHS)
 	case *CallExpr:
-		args := make([]string, len(x.Args))
+		dst = append(appendExpr(dst, x.Fun), '(')
 		for i, a := range x.Args {
-			args[i] = ExprString(a)
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendExpr(dst, a)
 		}
-		return fmt.Sprintf("%s(%s)", ExprString(x.Fun), strings.Join(args, ", "))
+		return append(dst, ')')
 	case *IndexExpr:
-		return fmt.Sprintf("%s[%s]", ExprString(x.X), ExprString(x.Index))
+		dst = append(appendExpr(dst, x.X), '[')
+		return append(appendExpr(dst, x.Index), ']')
 	case *MemberExpr:
-		sep := "."
+		dst = appendExpr(dst, x.X)
 		if x.Arrow {
-			sep = "->"
+			dst = append(dst, "->"...)
+		} else {
+			dst = append(dst, '.')
 		}
-		return ExprString(x.X) + sep + x.Sel
+		return append(dst, x.Sel...)
 	case *ParenExpr:
-		return "(" + ExprString(x.X) + ")"
+		return append(appendExpr(append(dst, '('), x.X), ')')
 	case *CondExpr:
-		return fmt.Sprintf("%s ? %s : %s", ExprString(x.Cond), ExprString(x.Then), ExprString(x.Else))
+		dst = append(appendExpr(dst, x.Cond), " ? "...)
+		dst = append(appendExpr(dst, x.Then), " : "...)
+		return appendExpr(dst, x.Else)
 	}
-	return "?"
+	return append(dst, '?')
+}
+
+// appendInfix appends "x op y".
+func appendInfix(dst []byte, x Expr, op token.Kind, y Expr) []byte {
+	dst = append(appendExpr(dst, x), ' ')
+	dst = append(append(dst, op.String()...), ' ')
+	return appendExpr(dst, y)
 }

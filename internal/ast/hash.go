@@ -25,17 +25,19 @@ import (
 // any model-relevant field would alias distinct functions to one cache
 // key and serve a wrong cached model.
 func HashNode(w io.Writer, n Node) {
-	h := hasher{w: w}
+	// The encoding is built in one buffer and written once: a hash.Hash
+	// behind an interface would otherwise see one call, and one escaping
+	// scratch slice, per field.
+	var h hasher
 	h.node(n)
+	w.Write(h.buf)
 }
 
 type hasher struct {
-	w io.Writer
+	buf []byte
 }
 
-func (h *hasher) bytes(b []byte) { h.w.Write(b) }
-
-func (h *hasher) tag(t byte) { h.bytes([]byte{t}) }
+func (h *hasher) tag(t byte) { h.buf = append(h.buf, t) }
 
 func (h *hasher) bool(v bool) {
 	if v {
@@ -45,21 +47,13 @@ func (h *hasher) bool(v bool) {
 	}
 }
 
-func (h *hasher) int(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	h.bytes(buf[:n])
-}
+func (h *hasher) int(v int64) { h.buf = binary.AppendVarint(h.buf, v) }
 
-func (h *hasher) uint(v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	h.bytes(buf[:n])
-}
+func (h *hasher) uint(v uint64) { h.buf = binary.AppendUvarint(h.buf, v) }
 
 func (h *hasher) str(s string) {
 	h.uint(uint64(len(s)))
-	h.bytes([]byte(s))
+	h.buf = append(h.buf, s...)
 }
 
 func (h *hasher) pos(p token.Pos) {
@@ -206,9 +200,7 @@ func (h *hasher) node(n Node) {
 	case *FloatLit:
 		h.tag(18)
 		h.pos(x.LitPos)
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x.Value))
-		h.bytes(buf[:])
+		h.buf = binary.LittleEndian.AppendUint64(h.buf, math.Float64bits(x.Value))
 	case *BoolLit:
 		h.tag(19)
 		h.pos(x.LitPos)

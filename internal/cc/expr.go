@@ -31,8 +31,12 @@ func (fc *funcCompiler) compileExpr(e ast.Expr) value {
 			return v
 		}
 	}
-	if v, ok := fc.licmCache[exprKey(e)]; ok {
-		return v
+	// Only a loop body with hoisted subexpressions has cache entries;
+	// everywhere else the structural key would be rendered for nothing.
+	if len(fc.licmCache) > 0 {
+		if v, ok := fc.licmCache[exprKey(e)]; ok {
+			return v
+		}
 	}
 	switch x := e.(type) {
 	case *ast.IntLit:

@@ -16,9 +16,10 @@
 package expr
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 
 	"mira/internal/rational"
 )
@@ -151,21 +152,21 @@ func collectLikeTerms(terms []Expr) []Expr {
 		base  Expr
 		coeff rational.Rat
 	}
-	var order []string
-	byKey := map[string]*entry{}
+	var entries []entry
+	byKey := map[string]int{} // rendered base -> index in entries
+	var key []byte
 	for _, t := range terms {
 		coeff, base := splitCoeff(t)
-		key := base.String()
-		if e, ok := byKey[key]; ok {
-			e.coeff = e.coeff.Add(coeff)
+		key = appendExpr(key[:0], base)
+		if i, ok := byKey[string(key)]; ok {
+			entries[i].coeff = entries[i].coeff.Add(coeff)
 			continue
 		}
-		byKey[key] = &entry{base: base, coeff: coeff}
-		order = append(order, key)
+		byKey[string(key)] = len(entries)
+		entries = append(entries, entry{base: base, coeff: coeff})
 	}
 	var out []Expr
-	for _, k := range order {
-		e := byKey[k]
+	for _, e := range entries {
 		if e.coeff.Sign() == 0 {
 			continue
 		}
@@ -286,7 +287,7 @@ func NewMin(a, b Expr) Expr {
 	if oka && okb {
 		return Num{na.Val.Min(nb.Val)}
 	}
-	if a.String() == b.String() {
+	if Equal(a, b) {
 		return a
 	}
 	return Min{A: a, B: b}
@@ -299,7 +300,7 @@ func NewMax(a, b Expr) Expr {
 	if oka && okb {
 		return Num{na.Val.Max(nb.Val)}
 	}
-	if a.String() == b.String() {
+	if Equal(a, b) {
 		return a
 	}
 	return Max{A: a, B: b}
@@ -616,53 +617,105 @@ func Params(e Expr) []string {
 	return out
 }
 
+// sortExprs orders es stably by appendSortKey: constants first, then by
+// rendering. Each element's key is rendered once, into one shared
+// buffer, before sorting.
 func sortExprs(es []Expr) {
-	sort.SliceStable(es, func(i, j int) bool {
-		return exprSortKey(es[i]) < exprSortKey(es[j])
+	if len(es) < 2 {
+		return
+	}
+	type keyed struct {
+		lo, hi int // key bytes in buf
+		e      Expr
+	}
+	ks := make([]keyed, len(es))
+	var buf []byte
+	for i, e := range es {
+		lo := len(buf)
+		buf = appendSortKey(buf, e)
+		ks[i] = keyed{lo: lo, hi: len(buf), e: e}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		return bytes.Compare(buf[a.lo:a.hi], buf[b.lo:b.hi])
 	})
+	for i, k := range ks {
+		es[i] = k.e
+	}
 }
 
-// exprSortKey orders constants first, then lexicographically.
-func exprSortKey(e Expr) string {
+// appendSortKey appends e's sort key: "0" for every constant (so
+// constants sort first, keeping their relative order), "1" and the
+// rendering otherwise.
+func appendSortKey(dst []byte, e Expr) []byte {
 	if _, ok := e.(Num); ok {
-		return "0" // constants first
+		return append(dst, '0')
 	}
-	return "1" + e.String()
+	return appendExpr(append(dst, '1'), e)
 }
 
 // ---------------------------------------------------------------------------
 // Rendering
 
-func (e Num) String() string   { return e.Val.String() }
-func (e Param) String() string { return e.Name }
-func (e Var) String() string   { return e.Name }
+func (e Num) String() string      { return e.Val.String() }
+func (e Param) String() string    { return e.Name }
+func (e Var) String() string      { return e.Name }
+func (e Add) String() string      { return render(e) }
+func (e Mul) String() string      { return render(e) }
+func (e FloorDiv) String() string { return render(e) }
+func (e Min) String() string      { return render(e) }
+func (e Max) String() string      { return render(e) }
+func (e Sum) String() string      { return render(e) }
 
-func (e Add) String() string {
-	parts := make([]string, len(e.Terms))
-	for i, t := range e.Terms {
-		parts[i] = t.String()
+func render(e Expr) string { return string(appendExpr(make([]byte, 0, 64), e)) }
+
+// appendExpr appends the String rendering of e to dst: every composite
+// node renders through it, so a tree is formatted in one buffer.
+func appendExpr(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case Num:
+		return x.Val.AppendString(dst)
+	case Param:
+		return append(dst, x.Name...)
+	case Var:
+		return append(dst, x.Name...)
+	case Add:
+		dst = append(dst, '(')
+		for i, t := range x.Terms {
+			if i > 0 {
+				dst = append(dst, " + "...)
+			}
+			dst = appendExpr(dst, t)
+		}
+		return append(dst, ')')
+	case Mul:
+		for i, f := range x.Factors {
+			if i > 0 {
+				dst = append(dst, '*')
+			}
+			dst = appendExpr(dst, f)
+		}
+		return dst
+	case FloorDiv:
+		dst = appendExpr(append(dst, "floor("...), x.X)
+		return append(x.D.AppendString(append(dst, " / "...)), ')')
+	case Min:
+		return appendPair(dst, "min(", x.A, x.B)
+	case Max:
+		return appendPair(dst, "max(", x.A, x.B)
+	case Sum:
+		dst = append(append(append(dst, "sum("...), x.Var...), '=')
+		dst = append(appendExpr(dst, x.Lo), ".."...)
+		dst = append(appendExpr(dst, x.Hi), ")["...)
+		return append(appendExpr(dst, x.Body), ']')
 	}
-	return "(" + strings.Join(parts, " + ") + ")"
+	return append(dst, e.String()...)
 }
 
-func (e Mul) String() string {
-	parts := make([]string, len(e.Factors))
-	for i, f := range e.Factors {
-		parts[i] = f.String()
-	}
-	return strings.Join(parts, "*")
-}
-
-func (e FloorDiv) String() string {
-	return fmt.Sprintf("floor(%s / %s)", e.X, e.D)
-}
-
-func (e Min) String() string { return fmt.Sprintf("min(%s, %s)", e.A, e.B) }
-func (e Max) String() string { return fmt.Sprintf("max(%s, %s)", e.A, e.B) }
-
-func (e Sum) String() string {
-	return fmt.Sprintf("sum(%s=%s..%s)[%s]", e.Var, e.Lo, e.Hi, e.Body)
+// appendPair appends "fn(a, b)"; open is "fn(".
+func appendPair(dst []byte, open string, a, b Expr) []byte {
+	dst = append(appendExpr(append(dst, open...), a), ", "...)
+	return append(appendExpr(dst, b), ')')
 }
 
 // Equal reports structural equality after simplification.
-func Equal(a, b Expr) bool { return a.String() == b.String() }
+func Equal(a, b Expr) bool { return bytes.Equal(appendExpr(nil, a), appendExpr(nil, b)) }

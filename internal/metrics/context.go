@@ -12,9 +12,25 @@ import (
 // complement rule (Count_true = Count_total − Count_false) while keeping
 // every term inside the polyhedral framework, so nested loops below an
 // else branch still count precisely.
+//
+// A Context is immutable once built, so its count is computed once: every
+// constructor allocates a fresh memo cell, and copies of a Context share
+// it. Statements in one block share their enclosing context, and each
+// would otherwise re-run polyhedra.Count over the same nests. A Context
+// stays inside the one funcWalker that built it, so the cell needs no
+// lock.
 type Context struct {
 	mult  expr.Expr // multiplier applied to the whole combination
 	terms []ctxTerm
+	memo  *countMemo
+}
+
+// countMemo caches the outcome of a Context's first Count, error
+// included, so a failing count fails the same way every time.
+type countMemo struct {
+	done bool
+	expr expr.Expr
+	err  error
 }
 
 type ctxTerm struct {
@@ -24,12 +40,12 @@ type ctxTerm struct {
 
 // UnitContext is the top-of-function context (count 1).
 func UnitContext() Context {
-	return Context{mult: expr.Const(1), terms: []ctxTerm{{sign: 1}}}
+	return Context{mult: expr.Const(1), terms: []ctxTerm{{sign: 1}}, memo: new(countMemo)}
 }
 
 // WithLoop extends every term by a loop level.
 func (c Context) WithLoop(l polyhedra.Loop) Context {
-	out := Context{mult: c.mult}
+	out := Context{mult: c.mult, memo: new(countMemo)}
 	for _, t := range c.terms {
 		out.terms = append(out.terms, ctxTerm{sign: t.sign, nest: t.nest.WithLoop(l)})
 	}
@@ -38,7 +54,7 @@ func (c Context) WithLoop(l polyhedra.Loop) Context {
 
 // WithGuards extends every term by guards (an if's then-branch).
 func (c Context) WithGuards(gs []polyhedra.Guard) Context {
-	out := Context{mult: c.mult}
+	out := Context{mult: c.mult, memo: new(countMemo)}
 	for _, t := range c.terms {
 		n := t.nest
 		for _, g := range gs {
@@ -51,7 +67,7 @@ func (c Context) WithGuards(gs []polyhedra.Guard) Context {
 
 // Else returns the complement context of guards: ctx − (ctx ∧ guards).
 func (c Context) Else(gs []polyhedra.Guard) Context {
-	out := Context{mult: c.mult}
+	out := Context{mult: c.mult, memo: new(countMemo)}
 	out.terms = append(out.terms, c.terms...)
 	for _, t := range c.terms {
 		n := t.nest
@@ -76,17 +92,26 @@ func (c Context) Collapse() (Context, error) {
 	if err != nil {
 		return Context{}, err
 	}
-	return Context{mult: count, terms: []ctxTerm{{sign: 1}}}, nil
+	return Override(count), nil
 }
 
 // Override replaces the context count with an absolute expression
 // (br_count annotations).
 func Override(count expr.Expr) Context {
-	return Context{mult: count, terms: []ctxTerm{{sign: 1}}}
+	return Context{mult: count, terms: []ctxTerm{{sign: 1}}, memo: new(countMemo)}
 }
 
-// Count returns the symbolic execution count.
+// Count returns the symbolic execution count, computing it on the first
+// call only.
 func (c Context) Count() (expr.Expr, error) {
+	if !c.memo.done {
+		c.memo.expr, c.memo.err = c.count()
+		c.memo.done = true
+	}
+	return c.memo.expr, c.memo.err
+}
+
+func (c Context) count() (expr.Expr, error) {
 	var total expr.Expr = expr.Const(0)
 	for _, t := range c.terms {
 		n, err := polyhedra.Count(t.nest)

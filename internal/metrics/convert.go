@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"strconv"
 
 	"mira/internal/ast"
 	"mira/internal/expr"
@@ -40,7 +41,7 @@ func (s *scope) uniqueLoopVar(name string) string {
 	if _, taken := s.loopVars[name]; !taken && !s.fnParams[name] {
 		return name
 	}
-	return fmt.Sprintf("%s__%d", name, s.seq)
+	return name + "__" + strconv.Itoa(s.seq)
 }
 
 // convert translates a source expression into a symbolic expression over

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"mira/internal/expr"
 	"mira/internal/ir"
@@ -152,7 +153,7 @@ type Call struct {
 // MangledParam names an unresolved call argument after the paper's
 // convention: parameter name + call line.
 func MangledParam(param string, line int) string {
-	return fmt.Sprintf("%s_%d", param, line)
+	return param + "_" + strconv.Itoa(line)
 }
 
 // Func is the model of one source function.

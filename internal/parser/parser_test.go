@@ -1,10 +1,15 @@
 package parser
 
 import (
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"mira/internal/ast"
+	"mira/internal/lexer"
+	"mira/internal/token"
 )
 
 func parse(t *testing.T, src string) *ast.File {
@@ -389,5 +394,84 @@ func TestReferenceParams(t *testing.T) {
 	if !fd.Params[0].Type.IsPointer() || !fd.Params[1].Type.IsPointer() {
 		t.Errorf("reference params not pointerized: %v %v",
 			fd.Params[0].Type, fd.Params[1].Type)
+	}
+}
+
+// sscanfLiteral is how literals were converted before strconv, kept as
+// the reference: a literal's value, and whether it is rejected, must not
+// change.
+func sscanfLiteral(kind token.Kind, lit string) (ast.Expr, error) {
+	if kind == token.INTLIT {
+		var v int64
+		_, err := fmt.Sscanf(lit, "%d", &v)
+		return &ast.IntLit{Value: v}, err
+	}
+	var v float64
+	_, err := fmt.Sscanf(lit, "%g", &v)
+	return &ast.FloatLit{Value: v}, err
+}
+
+func TestParseNumericLiterals(t *testing.T) {
+	for _, lit := range []string{
+		"0", "7", "007", "42", "9223372036854775807",
+		"2.0", "1e21", "1e-05", "1E5", "123456789.0", "0.1", "1.", ".5", "2.5e+3",
+		"1e-400", "1.00100", "3f", "3.5f",
+	} {
+		src := "double f() { return " + lit + "; }"
+		lx := lexer.New(src)
+		toks := lx.All()
+		kind := toks[6].Kind // double f ( ) { return LIT
+		f, err := ParseFile("lit.c", src)
+		if err != nil {
+			t.Errorf("%s: %v", lit, err)
+			continue
+		}
+		got := f.Funcs()[0].Body.Stmts[0].(*ast.ReturnStmt).X
+		want, werr := sscanfLiteral(kind, toks[6].Lit)
+		if werr != nil {
+			t.Errorf("%s: reference rejects it (%v) but the parser accepts it", lit, werr)
+			continue
+		}
+		switch w := want.(type) {
+		case *ast.IntLit:
+			if g, ok := got.(*ast.IntLit); !ok || g.Value != w.Value {
+				t.Errorf("%s: parsed %#v, want IntLit %d", lit, got, w.Value)
+			}
+		case *ast.FloatLit:
+			if g, ok := got.(*ast.FloatLit); !ok || math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+				t.Errorf("%s: parsed %#v, want FloatLit %v", lit, got, w.Value)
+			}
+		}
+	}
+	if v := parse(t, "int f() { return 007; }").Funcs()[0].Body.Stmts[0].(*ast.ReturnStmt).X.(*ast.IntLit).Value; v != 7 {
+		t.Errorf("007 parsed to %d, want 7", v)
+	}
+}
+
+func TestParseBadNumericLiterals(t *testing.T) {
+	cases := []struct{ src, msg string }{
+		{"int f() { return 9223372036854775808; }", `bad integer literal "9223372036854775808"`},
+		{"double f() { return 1e999; }", `bad float literal "1e999"`},
+		{"double f() {\n\tdouble x;\n\tx = 2.5 * 1.5e400;\n}", `bad float literal "1.5e400"`},
+	}
+	for _, c := range cases {
+		lx := lexer.New(c.src)
+		var lit token.Token
+		for _, tk := range lx.All() {
+			if tk.Kind == token.INTLIT || tk.Kind == token.FLOATLIT {
+				lit = tk // the last literal is the bad one
+			}
+		}
+		if _, err := sscanfLiteral(lit.Kind, lit.Lit); err == nil {
+			t.Fatalf("%s: reference accepts %q", c.src, lit.Lit)
+		}
+		_, err := ParseFile("bad.c", c.src)
+		var perr *Error
+		if !errors.As(err, &perr) {
+			t.Fatalf("%s: error %v, want a *parser.Error", c.src, err)
+		}
+		if perr.Pos != lit.Pos || perr.Msg != c.msg {
+			t.Errorf("%s: error at %s %q, want at %s %q", c.src, perr.Pos, perr.Msg, lit.Pos, c.msg)
+		}
 	}
 }

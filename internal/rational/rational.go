@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 )
 
 // Rat is an immutable exact rational number. The zero value is 0.
@@ -191,6 +192,20 @@ func (a Rat) String() string {
 		return b.Num().String()
 	}
 	return b.RatString()
+}
+
+// AppendString appends the String rendering of a to dst, without the
+// intermediate string when numerator and denominator fit in int64.
+func (a Rat) AppendString(dst []byte) []byte {
+	num, den, ok := a.Int64Frac()
+	if !ok {
+		return append(dst, a.String()...)
+	}
+	dst = strconv.AppendInt(dst, num, 10)
+	if den != 1 {
+		dst = strconv.AppendInt(append(dst, '/'), den, 10)
+	}
+	return dst
 }
 
 // PythonString renders the value as a Python expression preserving
